@@ -40,10 +40,10 @@
 //! # (fleet-level knapsack budget allocation; --uniform for the fixed
 //! # per-shard split), optionally serving /metrics and /timeseries live
 //! cargo run -p aim-bench --bin aim_cli --release -- \
-//!     fleet --tenants 32 --skew 1.2 --selection lp --serve 7800
+//!     fleet --tenants 32 --skew 1.2 --serve 7800
 //! ```
 
-use aim_core::{AimConfig, BackendSpec, SelectionStrategy, TuningSession};
+use aim_core::{AimConfig, BackendSpec, TuningSession};
 use aim_exec::{Engine, HypoConfig};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
@@ -52,24 +52,6 @@ use std::io::{BufRead, Write};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--selection greedy|lp` applies to every mode (REPL \tune, --profile,
-    // explain --tune, continuous): greedy knapsack (default) or the
-    // LP-relaxation selector.
-    let mut strategy = SelectionStrategy::Greedy;
-    if let Some(i) = args.iter().position(|a| a == "--selection") {
-        strategy = match args.get(i + 1).map(String::as_str) {
-            Some("greedy") => SelectionStrategy::Greedy,
-            Some("lp") => SelectionStrategy::Lp,
-            other => {
-                eprintln!(
-                    "--selection must be 'greedy' or 'lp', got {:?}",
-                    other.unwrap_or("")
-                );
-                std::process::exit(2);
-            }
-        };
-        args.drain(i..(i + 2).min(args.len()));
-    }
     // `--trace-out PATH` applies to the telemetry-enabled modes
     // (`--profile`, `continuous`): record every span close as a Chrome
     // trace event and write the trace to PATH on exit (load it in
@@ -87,20 +69,20 @@ fn main() {
     }
     if let Some(i) = args.iter().position(|a| a == "--profile") {
         let workload = args.get(i + 1).map(String::as_str).unwrap_or("demo");
-        run_profile(workload, strategy, trace_out.as_deref());
+        run_profile(workload, trace_out.as_deref());
         return;
     }
     match args.first().map(String::as_str) {
         Some("explain") => {
-            run_explain(&args[1..], strategy);
+            run_explain(&args[1..]);
             return;
         }
         Some("continuous") => {
-            run_continuous(&args[1..], strategy, trace_out.as_deref());
+            run_continuous(&args[1..], trace_out.as_deref());
             return;
         }
         Some("fleet") => {
-            run_fleet(&args[1..], strategy);
+            run_fleet(&args[1..]);
             return;
         }
         _ => {}
@@ -122,7 +104,6 @@ fn main() {
             ..Default::default()
         })
         .backend(backend)
-        .selection_strategy(strategy)
         .session();
     let mut db = session.provision_database().unwrap_or_else(|e| {
         eprintln!("failed to open database: {e}");
@@ -354,7 +335,7 @@ fn workload_fixture(
 /// AIM indexes compete), `--hypo` adds the top generated candidates as
 /// hypothetical indexes, `--execute` runs the query and appends measured
 /// actuals, `--json` emits the machine-readable form.
-fn run_explain(args: &[String], strategy: SelectionStrategy) {
+fn run_explain(args: &[String]) {
     let mut json = false;
     let mut execute = false;
     let mut tune = false;
@@ -414,7 +395,6 @@ fn run_explain(args: &[String], strategy: SelectionStrategy) {
                 min_benefit: 0.5,
                 ..Default::default()
             })
-            .selection_strategy(strategy)
             .session();
         match session.run(&mut db, &monitor) {
             Ok(o) => eprintln!("tuned: {} indexes created, {} rejected", o.created.len(), o.rejected.len()),
@@ -468,7 +448,7 @@ fn run_explain(args: &[String], strategy: SelectionStrategy) {
 /// ledger recording, optionally exposing the live introspection endpoint.
 /// Writes `results/decision_ledger.json` and a telemetry artifact on
 /// completion.
-fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Option<&str>) {
+fn run_continuous(args: &[String], trace_out: Option<&str>) {
     let mut workload = "demo".to_string();
     let mut windows = 3usize;
     let mut serve: Option<u16> = None;
@@ -517,7 +497,6 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
             ..Default::default()
         })
         .ledger(true)
-        .selection_strategy(strategy)
         .session();
     // The /ledger endpoint reads through a clone: TuningSession clones
     // share one ledger.
@@ -608,7 +587,7 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
 /// per-tenant p99 select-latency SLO is registered so /alerts has a rule
 /// to evaluate) for the duration of the run and holds it open until stdin
 /// closes.
-fn run_fleet(args: &[String], strategy: SelectionStrategy) {
+fn run_fleet(args: &[String]) {
     let mut tenants = 16usize;
     let mut skew = 1.0f64;
     let mut workers = 0usize;
@@ -691,7 +670,6 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
             min_benefit: 0.0,
             ..Default::default()
         })
-        .selection_strategy(strategy)
         .build();
     let session = aim_core::fleet::FleetConfig::builder()
         .base(base)
@@ -749,7 +727,7 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
 
 /// `--profile <workload>`: execute the workload once, run one tuning pass
 /// with telemetry on, and print the phase tree + counters.
-fn run_profile(workload: &str, strategy: SelectionStrategy, trace_out: Option<&str>) {
+fn run_profile(workload: &str, trace_out: Option<&str>) {
     let engine = Engine::new();
     let mut monitor = WorkloadMonitor::new();
     let (mut db, weighted) = workload_fixture(workload, &engine, &mut monitor);
@@ -772,7 +750,6 @@ fn run_profile(workload: &str, strategy: SelectionStrategy, trace_out: Option<&s
             min_benefit: 0.5,
             ..Default::default()
         })
-        .selection_strategy(strategy)
         .session();
     let result = session.run(&mut db, &monitor);
     let wall = wall.elapsed();

@@ -10,9 +10,7 @@
 //! an unconstrained run would build, so the split genuinely bites.
 //!
 //! Also reported: shards-tuned-per-second on the pool, budget transfers
-//! and bytes moved beyond the uniform share, cross-shard seed orders, and
-//! (quick/full) the knapsack split combined with the per-tenant LP
-//! selection refinement, which must match or beat the greedy split.
+//! and bytes moved beyond the uniform share, and cross-shard seed orders.
 //!
 //! Usage: `cargo run -p aim-bench --bin bench_fleet --release -- [smoke|quick]`
 //!
@@ -22,7 +20,7 @@
 //! The default mode runs 256 tenants and writes `results/BENCH_fleet.json`.
 
 use aim_core::fleet::{BudgetAllocation, FleetConfig, FleetOutcome, Tenant};
-use aim_core::{workload_cost, AimConfig, SelectionStrategy};
+use aim_core::{workload_cost, AimConfig};
 use aim_exec::{CostModel, HypoConfig};
 use aim_monitor::SelectionConfig;
 use aim_workloads::fleet::{generate_fleet, FleetSpec, TenantWorkload};
@@ -64,15 +62,12 @@ fn run_fleet(
     workloads: &[TenantWorkload],
     budget: u64,
     allocation: BudgetAllocation,
-    strategy: SelectionStrategy,
     label: &'static str,
     cm: &CostModel,
 ) -> RunReport {
     let mut tenants: Vec<Tenant> = workloads.iter().map(|w| w.tenant.clone()).collect();
-    let mut base = base_config();
-    base.selection_strategy = strategy;
     let fleet = FleetConfig::builder()
-        .base(base)
+        .base(base_config())
         .fleet_budget(budget)
         .allocation(allocation)
         .session();
@@ -177,7 +172,6 @@ fn main() {
         &workloads,
         u64::MAX,
         BudgetAllocation::Knapsack,
-        SelectionStrategy::Greedy,
         "unconstrained",
         &cm,
     );
@@ -188,7 +182,6 @@ fn main() {
         &workloads,
         budget,
         BudgetAllocation::Uniform,
-        SelectionStrategy::Greedy,
         "uniform",
         &cm,
     );
@@ -196,23 +189,9 @@ fn main() {
         &workloads,
         budget,
         BudgetAllocation::Knapsack,
-        SelectionStrategy::Greedy,
         "knapsack",
         &cm,
     );
-    let lp = if smoke {
-        None
-    } else {
-        Some(run_fleet(
-            &workloads,
-            budget,
-            BudgetAllocation::Knapsack,
-            SelectionStrategy::Lp,
-            "knapsack+lp",
-            &cm,
-        ))
-    };
-
     let improvement_pct = if uniform.cost > 0.0 {
         (uniform.cost - knapsack.cost) / uniform.cost * 100.0
     } else {
@@ -224,10 +203,7 @@ fn main() {
          budget {budget} bytes (35% of {full_build} unconstrained)"
     );
     println!("baseline (untuned) fleet cost: {baseline_cost:.1}");
-    for r in [&unconstrained, &uniform, &knapsack]
-        .into_iter()
-        .chain(lp.as_ref())
-    {
+    for r in [&unconstrained, &uniform, &knapsack] {
         let (slow_id, slow_ms, skew) = straggler_skew(&r.outcome);
         println!(
             "{:>14}: cost {:>12.1} | {}/{} tuned | {:.1} shards/s | {} transfers \
@@ -250,10 +226,7 @@ fn main() {
     );
 
     let mut failures = Vec::new();
-    for r in [&unconstrained, &uniform, &knapsack]
-        .into_iter()
-        .chain(lp.as_ref())
-    {
+    for r in [&unconstrained, &uniform, &knapsack] {
         if r.outcome.failed() > 0 {
             failures.push(format!("{}: {} tenants failed", r.label, r.outcome.failed()));
         }
@@ -270,19 +243,9 @@ fn main() {
     if knapsack.outcome.budget_transfers == 0 && budget > 0 {
         failures.push("knapsack run moved no budget beyond the uniform share".into());
     }
-    if let Some(lp) = &lp {
-        // Per-tenant LP refinement never loses to greedy by construction.
-        if lp.cost > knapsack.cost * 1.0000001 {
-            failures.push(format!(
-                "LP refinement lost to greedy: {:.1} > {:.1}",
-                lp.cost, knapsack.cost
-            ));
-        }
-    }
 
     let reports: Vec<String> = [&unconstrained, &uniform, &knapsack]
         .into_iter()
-        .chain(lp.as_ref())
         .map(report_json)
         .collect();
     let json = format!(

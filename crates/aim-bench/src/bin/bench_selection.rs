@@ -1,4 +1,4 @@
-//! Microbench for batched what-if costing + LP-relaxation selection.
+//! Microbench for batched what-if costing.
 //!
 //! The headline measurement is the tentpole claim: costing ONE statement
 //! against a thousand-candidate configuration set in a single batched
@@ -13,22 +13,19 @@
 //!
 //! * batched vs unbatched *ranking* (`rank_candidates_with` vs
 //!   `rank_candidates_unbatched`) with bit-identical chosen configs on the
-//!   greedy knapsack path,
-//! * greedy vs LP selection quality across a budget sweep
-//!   ([`aim_core::refine_selection`] must match or beat greedy on actual
-//!   workload cost at every point — asserted), and
+//!   greedy knapsack path, and
 //! * the cross-batch what-if cache hit rate on a repeated batch.
 //!
 //! Usage: `cargo run -p aim-bench --bin bench_selection --release -- [quick|smoke]`
 //!
 //! `smoke` runs a miniature instance for CI and exits non-zero when batched
-//! costs diverge from sequential, when the LP ever loses to greedy, or when
-//! the batched path shows no speedup at all — the regression gates for the
+//! costs diverge from sequential or when the batched path shows no speedup
+//! at all — the regression gates for the
 //! batching layer.
 
 use aim_core::{
     generate_candidates, knapsack_select, rank_candidates_unbatched, rank_candidates_with,
-    refine_selection, CandidateGenConfig, RankedCandidate,
+    CandidateGenConfig, RankedCandidate,
 };
 use aim_exec::{CostModel, HypoConfig, HypotheticalIndex};
 use aim_monitor::{QueryStats, WorkloadQuery};
@@ -246,29 +243,6 @@ fn main() {
     assert_ranked_equal(&chosen_a, &chosen_b, "greedy-path chosen configs");
     let rank_speedup = rank_seq_s / rank_batch_s.max(1e-9);
 
-    // ----------------------------------- greedy vs LP across the budgets
-    cache.set_enabled(true);
-    let mut lp_points = Vec::new();
-    for frac in [0.25f64, 0.5, 1.0] {
-        let budget = ((full_size as f64) * frac) as u64;
-        let greedy = knapsack_select(&ranked_batched, budget, 0);
-        let out = refine_selection(&db, &workload, &ranked_batched, greedy.clone(), budget, 0, &cm);
-        if out.used_lp {
-            assert!(
-                out.lp_cost < out.greedy_cost,
-                "LP replaced greedy without beating it at budget fraction {frac}"
-            );
-        } else {
-            assert_ranked_equal(&out.chosen, &greedy, "LP fallback");
-        }
-        let delta = if out.greedy_cost.is_finite() && out.greedy_cost > 0.0 {
-            (out.greedy_cost - out.lp_cost.min(out.greedy_cost)) / out.greedy_cost
-        } else {
-            0.0
-        };
-        lp_points.push((frac, out.used_lp, out.greedy_cost, out.lp_cost, delta, out.iterations));
-    }
-
     // --------------------------------------- cross-batch cache hit rate
     cache.clear();
     cache.set_enabled(true);
@@ -294,14 +268,6 @@ fn main() {
         "ranking:         unbatched {rank_seq_s:.3}s, batched {rank_batch_s:.3}s -> \
          {rank_speedup:.2}x, chosen configs bit-identical"
     );
-    for (frac, used_lp, greedy_cost, lp_cost, delta, iters) in &lp_points {
-        println!(
-            "selection @ {frac:.2}B: greedy {greedy_cost:.1}, lp {lp_cost:.1} \
-             ({} — {:.2}% better, {iters} simplex pivots)",
-            if *used_lp { "LP kept" } else { "greedy kept" },
-            delta * 100.0
-        );
-    }
     println!(
         "cache: {} hits / {} misses (hit rate {:.1}%); telemetry: {} batches, \
          {} binding reuses, {} plan reuses",
@@ -313,16 +279,6 @@ fn main() {
         plan_reuse
     );
 
-    let lp_json: Vec<String> = lp_points
-        .iter()
-        .map(|(frac, used_lp, g, l, d, it)| {
-            format!(
-                "{{ \"budget_fraction\": {frac}, \"used_lp\": {used_lp}, \
-                 \"greedy_cost\": {g:.4}, \"lp_cost\": {l:.4}, \
-                 \"quality_delta\": {d:.6}, \"simplex_iterations\": {it} }}"
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"benchmark\": \"bench_selection\",\n  \"mode\": \"{mode}\",\n  \
          \"rows\": {rows},\n  \"configs_swept\": {nconfigs},\n  \
@@ -332,13 +288,11 @@ fn main() {
          \"bit_identical\": true }},\n  \
          \"ranking\": {{ \"unbatched_s\": {rank_seq_s:.6}, \"batched_s\": {rank_batch_s:.6}, \
          \"speedup\": {rank_speedup:.4}, \"chosen_bit_identical\": true }},\n  \
-         \"selection\": [\n    {lp}\n  ],\n  \
          \"cache\": {{ \"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {rate:.4} }},\n  \
          \"telemetry\": {{ \"batches\": {batches}, \"binding_reuse\": {binding_reuse}, \
          \"plan_reuse\": {plan_reuse} }}\n}}\n",
         nconfigs = configs.len(),
         ncands = candidates.len(),
-        lp = lp_json.join(",\n    "),
         hits = stats.hits,
         misses = stats.misses,
         rate = stats.hit_rate(),
@@ -356,8 +310,8 @@ fn main() {
         Err(e) => eprintln!("# artifact write failed: {e}"),
     }
 
-    // CI gates (bit-identity and LP-matches-or-beats are hard asserts
-    // above; these catch performance regressions).
+    // CI gates (bit-identity is a hard assert above; these catch
+    // performance regressions).
     if batch_speedup < 1.5 {
         eprintln!("FAIL: batched what-if costing speedup {batch_speedup:.2}x < 1.5x");
         std::process::exit(1);

@@ -9,10 +9,7 @@
 
 use crate::candidates::{generate_candidates, CandidateGenConfig, CoveringPolicy};
 use crate::ranking::{knapsack_select, rank_candidates};
-use aim_exec::{
-    estimate_statement_cost, estimate_statement_cost_batch, CostModel, HypoConfig,
-    HypotheticalIndex,
-};
+use aim_exec::{estimate_statement_cost, CostModel, HypoConfig, HypotheticalIndex};
 use aim_monitor::{QueryStats, WorkloadQuery};
 use aim_sql::ast::Statement;
 use aim_storage::{Database, IndexDef};
@@ -69,27 +66,6 @@ pub fn workload_cost(
                 * estimate_statement_cost(db, &wq.statement, config, cm).unwrap_or(f64::INFINITY)
         })
         .sum()
-}
-
-/// [`workload_cost`] against several configurations at once: every
-/// statement is costed for all configs in a single batched planner pass
-/// ([`estimate_statement_cost_batch`]), so parsing/binding/selectivity work
-/// is shared. Returns one total per config, in config order; each total is
-/// bit-identical to calling [`workload_cost`] with that config alone.
-pub fn workload_cost_batch(
-    db: &Database,
-    workload: &[WeightedQuery],
-    configs: &[&HypoConfig],
-    cm: &CostModel,
-) -> Vec<f64> {
-    let mut totals = vec![0.0; configs.len()];
-    for wq in workload {
-        let results = estimate_statement_cost_batch(db, &wq.statement, configs, cm);
-        for (t, res) in totals.iter_mut().zip(results) {
-            *t += wq.weight * res.unwrap_or(f64::INFINITY);
-        }
-    }
-    totals
 }
 
 /// Estimated total size of a configuration in bytes.

@@ -10,7 +10,7 @@
 
 use crate::driver::{Aim, AimOutcome};
 use crate::error::AimError;
-use crate::sentinel::{LatencySentinel, SentinelVerdict};
+use crate::sentinel::LatencySentinel;
 use crate::session::TuningSession;
 use aim_monitor::WorkloadMonitor;
 use aim_sql::normalize::QueryFingerprint;
@@ -224,82 +224,14 @@ impl ContinuousTuner {
         //    A regression verdict rolls back the previous step's
         //    materialization before anything else happens.
         let window = aim_telemetry::timeseries::tick("continuous_window");
-        let mut firing: BTreeSet<String> = BTreeSet::new();
-        if self.sentinel.is_some() && window.is_some() {
-            let watched = self.sentinel.as_ref().map(|s| s.config.histogram);
-            for status in aim_telemetry::slo::evaluate() {
-                if !status.firing {
-                    continue;
-                }
-                let tenant = status.tenant.clone().unwrap_or_default();
-                aim_telemetry::event(
-                    aim_telemetry::EventKind::SloAlert,
-                    &status.rule,
-                    format!(
-                        "tenant \"{tenant}\" {}: current {:.1} over target {:.1}, \
-                         burn rate fast {:.2} / slow {:.2}",
-                        status.metric, status.current, status.target,
-                        status.fast_burn, status.slow_burn
-                    ),
-                );
-                if Some(status.metric.as_str()) == watched {
-                    firing.insert(tenant);
-                }
-            }
-        }
-        let verdicts = match (self.sentinel.as_mut(), window.as_ref()) {
-            (Some(sentinel), Some(window)) => sentinel.observe_window_all(window, &firing),
-            _ => Vec::new(),
-        };
-        for tv in verdicts {
-            let SentinelVerdict::Regressed {
-                current,
-                baseline,
-                suspects,
-            } = tv.verdict
-            else {
-                continue;
-            };
-            let _rollback_span = aim_telemetry::span("regression_rollback");
-            aim_telemetry::metrics::REGRESSIONS_DETECTED.incr();
-            let attribution = if tv.alert {
-                " (SLO alert-attributed)"
-            } else {
-                ""
-            };
-            let series = if tv.tenant.is_empty() {
-                "all-tenant".to_string()
-            } else {
-                format!("tenant \"{}\"", tv.tenant)
-            };
-            for name in suspects {
-                let Some(def) = db.all_indexes().into_iter().find(|d| d.name == name) else {
-                    continue;
-                };
-                if db.drop_index(&def.table, &def.name).is_ok() {
-                    aim_telemetry::metrics::counter_add("sentinel.rollbacks", 1);
-                    aim_telemetry::event(
-                        aim_telemetry::EventKind::RegressionRollback,
-                        &def.name,
-                        format!(
-                            "{series} windowed select-latency regressed \
-                             ({baseline:.1} -> {current:.1}){attribution}; rolling \
-                             back the materialization that armed the sentinel"
-                        ),
-                    );
-                    self.session.ledger_annotate(
-                        &def.name,
-                        &def.table,
-                        "regression_rollback",
-                        format!(
-                            "latency sentinel{attribution}: {series} windowed \
-                             select-latency {current:.1} exceeded the EWMA baseline \
-                             {baseline:.1} within the post-materialization watch"
-                        ),
-                    );
-                    self.recently_created.remove(&def.name);
-                    outcome.rolled_back.push(def.name);
-                }
+        if let (Some(sentinel), Some(window)) = (self.sentinel.as_mut(), window) {
+            let session = &self.session;
+            let rolled = sentinel.roll_back_window(&window, db, |def, stage, note| {
+                session.ledger_annotate(&def.name, &def.table, stage, note);
+            });
+            for (_, name) in rolled {
+                self.recently_created.remove(&name);
+                outcome.rolled_back.push(name);
             }
         }
 

@@ -33,21 +33,6 @@ use aim_monitor::SelectionConfig;
 use aim_storage::IndexDef;
 use std::time::Duration;
 
-/// How the final index set is chosen from the ranked candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionStrategy {
-    /// Greedy knapsack in utility-density order with prefix absorption —
-    /// the paper's selection and the fast path.
-    #[default]
-    Greedy,
-    /// CoPhy-style LP relaxation ([`crate::selection_lp`]): per-(statement,
-    /// config) cost variables under the storage-budget constraint, solved
-    /// with an in-tree simplex and rounded. Falls back to the greedy
-    /// selection — bit-identically — whenever the rounded LP solution does
-    /// not beat greedy on actual batched workload cost.
-    Lp,
-}
-
 /// Full configuration of a tuning pass.
 ///
 /// `#[non_exhaustive]`: construct via [`AimConfig::builder`] (or start
@@ -89,9 +74,6 @@ pub struct AimConfig {
     /// [`TuningSession::provision_database`]). The advisor pipeline itself
     /// is backend-agnostic: validation clones are always in-memory.
     pub backend: BackendSpec,
-    /// How the final index set is chosen from the ranked candidates
-    /// (greedy knapsack by default; LP relaxation opt-in).
-    pub selection_strategy: SelectionStrategy,
     /// Tenant label for dimensional telemetry: when set, the whole pass
     /// runs under a [`aim_telemetry::scope`] so every instrument the
     /// pipeline touches also records a `tenant="…"` labeled twin (fleet
@@ -112,7 +94,6 @@ impl Default for AimConfig {
             workers: 0,
             record_ledger: false,
             backend: BackendSpec::Memory,
-            selection_strategy: SelectionStrategy::default(),
             tenant_label: None,
         }
     }

@@ -49,7 +49,7 @@ use crate::error::AimError;
 use crate::ledger::DecisionLedger;
 use crate::partial_order::PartialOrder;
 use crate::ranking::{effective_workers, try_rank_candidates_with, RankedCandidate};
-use crate::sentinel::{LatencySentinel, SentinelVerdict};
+use crate::sentinel::{LatencySentinel, RollbackTarget};
 use crate::session::{CancelToken, RetryPolicy, RunCtl, TuningSession};
 use crate::sharding::ShardingProfile;
 use aim_monitor::{select_workload, WorkloadMonitor};
@@ -107,9 +107,7 @@ pub enum BudgetAllocation {
     /// Fleet-level greedy knapsack over all tenants' probed candidates in
     /// global utility-density order: budget flows to the tenants whose
     /// candidates buy the most workload cost per byte. The per-tenant
-    /// session then re-selects under its allocation (greedy, or the LP
-    /// refinement when the base config picks
-    /// [`SelectionStrategy::Lp`](crate::driver::SelectionStrategy::Lp)).
+    /// session then re-selects under its allocation.
     #[default]
     Knapsack,
 }
@@ -122,7 +120,7 @@ pub enum BudgetAllocation {
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Per-tenant tuning configuration (selection, candidate generation,
-    /// validation, ledger, selection strategy…). Each tenant session runs
+    /// validation, ledger…). Each tenant session runs
     /// a copy with its allocated `storage_budget` and, in a multi-tenant
     /// fleet, `workers = 1` (the fleet pool provides the parallelism).
     pub base: AimConfig,
@@ -550,7 +548,9 @@ impl FleetSession {
     /// tolerate it. Regressed tenants have their suspect indexes rolled
     /// back **on that tenant only**; the rollback is journaled and, when a
     /// ledger is passed, annotated with the alert attribution. Returns
-    /// `(tenant id, index name)` per rolled-back index.
+    /// `(tenant id, index name)` per rolled-back index. The judging and
+    /// the rollback are `LatencySentinel::roll_back_window`'s; this
+    /// method supplies the tenant lookup and the ledger.
     pub fn observe_window(
         &self,
         tenants: &mut [Tenant],
@@ -560,82 +560,18 @@ impl FleetSession {
         let Some(window) = tel::timeseries::tick("fleet.window") else {
             return Vec::new();
         };
-        let watched = sentinel.config.histogram;
-        let mut firing: BTreeSet<String> = BTreeSet::new();
-        for status in tel::slo::evaluate() {
-            if !status.firing {
-                continue;
+        sentinel.roll_back_window(&window, tenants, |def, stage, note| {
+            if let Some(l) = ledger.as_deref_mut() {
+                l.annotate_latest(&def.name, &def.table, stage, note);
             }
-            let tenant = status.tenant.clone().unwrap_or_default();
-            tel::event(
-                tel::EventKind::SloAlert,
-                &status.rule,
-                format!(
-                    "tenant \"{tenant}\" {}: current {:.1} over target {:.1}, \
-                     burn rate fast {:.2} / slow {:.2}",
-                    status.metric, status.current, status.target,
-                    status.fast_burn, status.slow_burn
-                ),
-            );
-            if status.metric == watched {
-                firing.insert(tenant);
-            }
-        }
-        let mut rolled = Vec::new();
-        for tv in sentinel.observe_window_all(&window, &firing) {
-            let SentinelVerdict::Regressed {
-                current,
-                baseline,
-                suspects,
-            } = tv.verdict
-            else {
-                continue;
-            };
-            let Some(tenant) = tenants.iter_mut().find(|t| t.id == tv.tenant) else {
-                continue;
-            };
-            tel::metrics::REGRESSIONS_DETECTED.incr();
-            let attribution = if tv.alert {
-                " (SLO alert-attributed)"
-            } else {
-                ""
-            };
-            for name in suspects {
-                let Some(def) = tenant.db.all_indexes().into_iter().find(|d| d.name == name)
-                else {
-                    continue;
-                };
-                if tenant.db.drop_index(&def.table, &def.name).is_ok() {
-                    tel::metrics::counter_add("sentinel.rollbacks", 1);
-                    tel::event(
-                        tel::EventKind::RegressionRollback,
-                        &def.name,
-                        format!(
-                            "tenant \"{}\" windowed select-latency regressed \
-                             ({baseline:.1} -> {current:.1}){attribution}; rolling \
-                             back the materialization that armed the sentinel",
-                            tv.tenant
-                        ),
-                    );
-                    if let Some(l) = ledger.as_deref_mut() {
-                        l.annotate_latest(
-                            &def.name,
-                            &def.table,
-                            "regression_rollback",
-                            format!(
-                                "latency sentinel{attribution}: tenant \"{}\" \
-                                 windowed select-latency {current:.1} exceeded the \
-                                 EWMA baseline {baseline:.1} within the \
-                                 post-materialization watch",
-                                tv.tenant
-                            ),
-                        );
-                    }
-                    rolled.push((tv.tenant.clone(), def.name));
-                }
-            }
-        }
-        rolled
+        })
+    }
+}
+
+/// Fleet rollbacks land on the tenant whose series regressed.
+impl RollbackTarget for [Tenant] {
+    fn database(&mut self, tenant: &str) -> Option<&mut Database> {
+        self.iter_mut().find(|t| t.id == tenant).map(|t| &mut t.db)
     }
 }
 

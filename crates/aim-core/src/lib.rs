@@ -81,15 +81,13 @@ pub mod ledger;
 pub mod metadata;
 pub mod partial_order;
 pub mod ranking;
-pub mod selection_lp;
 pub mod sentinel;
 pub mod session;
 pub mod sharding;
 pub mod validate;
 
 pub use advisor::{
-    config_size, defs_to_config, workload_cost, workload_cost_batch, AimAdvisor, IndexAdvisor,
-    WeightedQuery,
+    config_size, defs_to_config, workload_cost, AimAdvisor, IndexAdvisor, WeightedQuery,
 };
 pub use candidates::{
     generate_candidates, try_generate_candidates, CandidateGenConfig, CandidateIndex,
@@ -100,7 +98,7 @@ pub use continuous::{
     RegressionDetector, AIM_INDEX_PREFIX,
 };
 pub use backend::BackendSpec;
-pub use driver::{Aim, AimConfig, AimOutcome, CreatedIndex, SelectionStrategy};
+pub use driver::{Aim, AimConfig, AimOutcome, CreatedIndex};
 pub use error::AimError;
 pub use fleet::{
     BudgetAllocation, FleetConfig, FleetConfigBuilder, FleetOutcome, FleetSession, Tenant,
@@ -113,7 +111,6 @@ pub use ranking::{
     knapsack_select, knapsack_select_explained, rank_candidates, rank_candidates_unbatched,
     rank_candidates_with, try_rank_candidates_with, KnapsackDecision, RankedCandidate,
 };
-pub use selection_lp::{refine_selection, LpDecision, LpOutcome};
 pub use sentinel::{LatencySentinel, SentinelConfig, SentinelStat, SentinelVerdict};
 pub use session::{AimConfigBuilder, CancelToken, RetryPolicy, RunCtl, TuningSession};
 pub use sharding::ShardingProfile;

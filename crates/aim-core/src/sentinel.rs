@@ -9,9 +9,11 @@
 //! itself whenever a pass materializes indexes, and — if an armed window's
 //! statistic exceeds the baseline by the tolerance — returns a
 //! [`SentinelVerdict::Regressed`] naming the materialized indexes as
-//! suspects. [`crate::continuous::ContinuousTuner::step`] then drops those
+//! suspects. `LatencySentinel::roll_back_window` then drops those
 //! indexes and records a `regression_rollback` stage in the decision
-//! ledger, closing the observe → detect → rollback loop.
+//! ledger, closing the observe → detect → rollback loop. It is the one
+//! rollback routine: [`crate::continuous::ContinuousTuner::step`] and
+//! [`crate::fleet::FleetSession::observe_window`] both call it.
 //!
 //! Since the dimensional-telemetry rework the sentinel is **per-tenant**:
 //! it keeps one EWMA baseline and one armed watch per `tenant`-labeled
@@ -28,6 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use aim_storage::{Database, IndexDef};
 use aim_telemetry as tel;
 use aim_telemetry::timeseries::{Window, WindowHistogram};
 
@@ -121,6 +124,22 @@ struct TenantState {
     ewma: Option<f64>,
     windows_observed: u64,
     armed: Option<Armed>,
+}
+
+/// The databases a sentinel rollback acts on, looked up by the tenant
+/// whose latency series regressed.
+pub(crate) trait RollbackTarget {
+    /// The database behind `tenant`'s series, or `None` when this target
+    /// does not hold that tenant.
+    fn database(&mut self, tenant: &str) -> Option<&mut Database>;
+}
+
+/// A lone database answers for every series: the continuous tuner rolls
+/// back on the database it tunes, whatever tenant scope armed the watch.
+impl RollbackTarget for Database {
+    fn database(&mut self, _tenant: &str) -> Option<&mut Database> {
+        Some(self)
+    }
 }
 
 /// EWMA + threshold detector over windowed select-latency statistics,
@@ -309,6 +328,101 @@ impl LatencySentinel {
             });
         }
         out
+    }
+
+    /// Judges one closed window and rolls back whatever regressed — the
+    /// single rollback routine behind both the continuous tuner and the
+    /// fleet.
+    ///
+    /// Every firing SLO is journaled as an `SloAlert` event; those on the
+    /// watched histogram feed [`Self::observe_window_all`]. For each
+    /// `Regressed` tenant that `target` holds, every suspect index still
+    /// present is dropped, journaled as a `RegressionRollback` event, and
+    /// passed to `annotate` with its ledger stage and note. Returns
+    /// `(tenant, index name)` per rolled-back index.
+    pub(crate) fn roll_back_window<T: RollbackTarget + ?Sized>(
+        &mut self,
+        window: &Window,
+        target: &mut T,
+        mut annotate: impl FnMut(&IndexDef, &str, String),
+    ) -> Vec<(String, String)> {
+        let mut firing: BTreeSet<String> = BTreeSet::new();
+        for status in tel::slo::evaluate() {
+            if !status.firing {
+                continue;
+            }
+            let tenant = status.tenant.clone().unwrap_or_default();
+            tel::event(
+                tel::EventKind::SloAlert,
+                &status.rule,
+                format!(
+                    "tenant \"{tenant}\" {}: current {:.1} over target {:.1}, \
+                     burn rate fast {:.2} / slow {:.2}",
+                    status.metric,
+                    status.current,
+                    status.target,
+                    status.fast_burn,
+                    status.slow_burn
+                ),
+            );
+            if status.metric == self.config.histogram {
+                firing.insert(tenant);
+            }
+        }
+        let mut rolled = Vec::new();
+        for tv in self.observe_window_all(window, &firing) {
+            let SentinelVerdict::Regressed {
+                current,
+                baseline,
+                suspects,
+            } = tv.verdict
+            else {
+                continue;
+            };
+            let Some(db) = target.database(&tv.tenant) else {
+                continue;
+            };
+            let _rollback_span = tel::span("regression_rollback");
+            tel::metrics::REGRESSIONS_DETECTED.incr();
+            let attribution = if tv.alert {
+                " (SLO alert-attributed)"
+            } else {
+                ""
+            };
+            let series = if tv.tenant.is_empty() {
+                "all-tenant".to_string()
+            } else {
+                format!("tenant \"{}\"", tv.tenant)
+            };
+            for name in suspects {
+                let Some(def) = db.all_indexes().into_iter().find(|d| d.name == name) else {
+                    continue;
+                };
+                if db.drop_index(&def.table, &def.name).is_ok() {
+                    tel::metrics::counter_add("sentinel.rollbacks", 1);
+                    tel::event(
+                        tel::EventKind::RegressionRollback,
+                        &def.name,
+                        format!(
+                            "{series} windowed select-latency regressed \
+                             ({baseline:.1} -> {current:.1}){attribution}; rolling \
+                             back the materialization that armed the sentinel"
+                        ),
+                    );
+                    annotate(
+                        &def,
+                        "regression_rollback",
+                        format!(
+                            "latency sentinel{attribution}: {series} windowed \
+                             select-latency {current:.1} exceeded the EWMA baseline \
+                             {baseline:.1} within the post-materialization watch"
+                        ),
+                    );
+                    rolled.push((tv.tenant.clone(), def.name));
+                }
+            }
+        }
+        rolled
     }
 }
 

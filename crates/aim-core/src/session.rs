@@ -238,16 +238,6 @@ impl AimConfigBuilder {
         self
     }
 
-    /// How the final index set is chosen from the ranked candidates:
-    /// greedy knapsack (default) or the CoPhy-style LP relaxation
-    /// ([`crate::selection_lp`]). Named `selection_strategy` because
-    /// [`AimConfigBuilder::selection`] already configures *workload*
-    /// selection.
-    pub fn selection_strategy(mut self, strategy: crate::driver::SelectionStrategy) -> Self {
-        self.cfg.selection_strategy = strategy;
-        self
-    }
-
     /// Tenant label for dimensional telemetry: the whole pass runs under a
     /// [`aim_telemetry::scope`] with this tenant, so every instrument also
     /// records a `tenant="…"` labeled twin. Fleet sessions set this per
@@ -606,33 +596,6 @@ impl TuningSession {
             } else {
                 knapsack_select(&ranked, cfg.storage_budget, used)
             }
-        };
-        // 3b. Optional LP-relaxation refinement (CoPhy-style): solve the
-        //     fractional selection, round, and keep whichever of
-        //     {LP-rounded, greedy} has the lower actual batched workload
-        //     cost — so this can only match or beat the greedy pick.
-        let chosen = if cfg.selection_strategy == crate::driver::SelectionStrategy::Lp
-            && !ranked.is_empty()
-        {
-            ctl.check("selection_lp")?;
-            let _s = tel::span("selection_lp");
-            let lp = crate::selection_lp::refine_selection(
-                db,
-                &workload,
-                &ranked,
-                chosen,
-                cfg.storage_budget,
-                used,
-                &self.aim.engine.cost_model,
-            );
-            self.with_ledger(|l| {
-                for d in &lp.decisions {
-                    l.note(pass, &d.name, &d.table, &d.columns, d.stage, d.detail.clone());
-                }
-            });
-            lp.chosen
-        } else {
-            chosen
         };
         if chosen.is_empty() {
             return Ok(());

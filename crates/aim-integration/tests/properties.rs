@@ -6,8 +6,8 @@
 
 use aim_core::partial_order::{merge_partial_orders, PartialOrder};
 use aim_core::{
-    generate_candidates, knapsack_select, rank_candidates, rank_candidates_unbatched,
-    rank_candidates_with, refine_selection, CandidateGenConfig, RankedCandidate,
+    generate_candidates, rank_candidates_unbatched, rank_candidates_with, CandidateGenConfig,
+    RankedCandidate,
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
@@ -617,7 +617,7 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ------------------------------------ batched costing & LP selection
+// ------------------------------------------------------ batched costing
 
 fn assert_ranked_bit_identical(a: &[RankedCandidate], b: &[RankedCandidate]) {
     assert_eq!(a.len(), b.len(), "ranked lists differ in length");
@@ -722,89 +722,6 @@ fn batched_ranking_matches_per_config_on_random_workloads() {
         let parallel = rank_candidates_with(&db, &w, &cands, &cm, 4);
         assert_ranked_bit_identical(&sequential, &parallel);
         assert!(!batched.is_empty() || case > 0, "degenerate sweep");
-    }
-}
-
-/// On small instances whose optimum is obvious — one hot equality query,
-/// unlimited budget — the LP selector must agree with greedy exactly; and
-/// under random budgets it may only replace the greedy set when the actual
-/// workload cost is strictly lower, else fall back bit-identically.
-#[test]
-fn lp_selection_agrees_with_greedy_on_optimal_instances() {
-    let cols = ["a", "b", "c"];
-    let mut rng = StdRng::seed_from_u64(0x1B07);
-    let cm = CostModel::default();
-    for _ in 0..5 {
-        let domain = rng.gen_range(20..60i64);
-        let mut db = Database::new();
-        let defs = vec![
-            ColumnDef::new("id", ColumnType::Int),
-            ColumnDef::new("a", ColumnType::Int),
-            ColumnDef::new("b", ColumnType::Int),
-            ColumnDef::new("c", ColumnType::Int),
-        ];
-        db.create_table(TableSchema::new("t", defs, &["id"]).expect("valid"))
-            .expect("fresh");
-        let mut io = IoStats::new();
-        for i in 0..2500i64 {
-            db.table_mut("t")
-                .expect("exists")
-                .insert(
-                    vec![
-                        Value::Int(i),
-                        Value::Int(i % domain),
-                        Value::Int((i * 7) % domain),
-                        Value::Int((i * 13) % domain),
-                    ],
-                    &mut io,
-                )
-                .expect("unique");
-        }
-        db.analyze_all();
-
-        let hot = cols[rng.gen_range(0..cols.len())];
-        let v = rng.gen_range(0..domain);
-        let w = observe_workload(
-            &mut db,
-            &[(format!("SELECT id FROM t WHERE {hot} = {v}"), 25)],
-        );
-        let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates(&db, &w, &cands, &cm);
-        assert!(!ranked.is_empty(), "hot query produced no candidates");
-
-        // Unlimited budget: the single useful index is provably optimal,
-        // so LP refinement must return exactly the greedy selection.
-        let greedy = knapsack_select(&ranked, u64::MAX, 0);
-        let out = refine_selection(&db, &w, &ranked, greedy.clone(), u64::MAX, 0, &cm);
-        assert_eq!(
-            out.chosen
-                .iter()
-                .map(|r| r.candidate.name())
-                .collect::<Vec<_>>(),
-            greedy
-                .iter()
-                .map(|r| r.candidate.name())
-                .collect::<Vec<_>>(),
-        );
-        assert!(
-            out.chosen
-                .iter()
-                .any(|r| r.candidate.columns.first() == Some(&hot.to_string())),
-            "optimal selection must lead with the hot column {hot}"
-        );
-
-        // Random constrained budget: matches-or-beats on actual cost.
-        let total: u64 = ranked.iter().map(|r| r.size_bytes).sum();
-        let budget = rng.gen_range(1..=total.max(2));
-        let greedy = knapsack_select(&ranked, budget, 0);
-        let out = refine_selection(&db, &w, &ranked, greedy.clone(), budget, 0, &cm);
-        if out.used_lp {
-            assert!(out.lp_cost < out.greedy_cost, "LP kept without improvement");
-        } else {
-            assert_ranked_bit_identical(&out.chosen, &greedy);
-        }
-        let used: u64 = out.chosen.iter().map(|r| r.size_bytes).sum();
-        assert!(used <= budget, "budget violated: {used} > {budget}");
     }
 }
 

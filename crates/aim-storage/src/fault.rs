@@ -126,9 +126,15 @@ pub struct Injection {
     pub kind: FaultKind,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Armed {
     plan: FaultPlan,
+    /// The thread that armed the plan. In this crate's own unit tests only
+    /// that thread sees the plan: the harness runs tests in parallel, and
+    /// a fault armed by one test must not fire inside (or be counted by)
+    /// another test's storage calls.
+    #[cfg(test)]
+    owner: std::thread::ThreadId,
     /// Per-site call counts since arming.
     calls: BTreeMap<String, u64>,
     /// Per-rule injection counts (indexed like `plan.rules`).
@@ -150,6 +156,8 @@ pub fn arm(plan: FaultPlan) {
         calls: BTreeMap::new(),
         injected,
         log: Vec::new(),
+        #[cfg(test)]
+        owner: std::thread::current().id(),
     });
     ARMED.store(true, Ordering::SeqCst);
 }
@@ -213,6 +221,10 @@ fn hit_slow(site: &str) -> Option<FaultKind> {
     let kind = {
         let mut guard = STATE.lock().unwrap_or_else(|e| e.into_inner());
         let armed = guard.as_mut()?;
+        #[cfg(test)]
+        if armed.owner != std::thread::current().id() {
+            return None;
+        }
         let call = armed.calls.entry(site.to_string()).or_insert(0);
         *call += 1;
         let call = *call;

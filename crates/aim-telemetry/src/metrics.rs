@@ -134,8 +134,6 @@ pub static SELECTION_BATCH_BINDING_REUSE: Counter =
 /// Batch members served by an identical-projection plan from the same
 /// batch without any planner pass at all.
 pub static SELECTION_BATCH_PLAN_REUSE: Counter = Counter::new("selection.batch.plan_reuse");
-/// Simplex iterations performed by the LP selection strategy.
-pub static SELECTION_LP_ITERATIONS: Counter = Counter::new("selection.lp.iterations");
 /// Events evicted from the journal ring buffer before anyone read them.
 pub static JOURNAL_DROPPED: Counter = Counter::new("telemetry.journal_dropped");
 /// Event-sink write failures (the event is lost; each failure counts).
@@ -181,7 +179,6 @@ static BUILTIN: &[&Counter] = &[
     &SELECTION_BATCHES,
     &SELECTION_BATCH_BINDING_REUSE,
     &SELECTION_BATCH_PLAN_REUSE,
-    &SELECTION_LP_ITERATIONS,
     &JOURNAL_DROPPED,
     &SINK_ERRORS,
     &TIMESERIES_WINDOWS,
@@ -232,7 +229,6 @@ pub fn help_for(name: &str) -> &'static str {
         "selection.batch.count" => "Batched what-if evaluations.",
         "selection.batch.binding_reuse" => "Batch members reusing the shared binding derivation.",
         "selection.batch.plan_reuse" => "Batch members served by an identical-projection plan.",
-        "selection.lp.iterations" => "Simplex iterations performed by the LP selector.",
         "telemetry.journal_dropped" => "Events evicted from the journal ring before being read.",
         "telemetry.sink_errors" => "Event-sink write failures (events lost).",
         "timeseries.windows" => "Time-series windows closed by timeseries ticks.",

@@ -36,11 +36,12 @@ echo "== storage smoke (disk-engine durability & costing gate)"
 # index survival, buffer-pool + WAL traffic, and est-vs-actual page error.
 ./target/release/bench_storage smoke
 
-echo "== selection smoke (batched costing & LP-selection gate)"
+echo "== batched costing smoke (batched what-if costing gate)"
 # Runs bench_selection in smoke mode: asserts batched what-if costs are
-# bit-identical to sequential costing (per-slot to_bits equality), that the
-# LP selector never loses to greedy, and exits non-zero when the batched
-# path shows no speedup or a repeated batch never hits the what-if cache.
+# bit-identical to sequential costing (per-slot to_bits equality) and that
+# batched ranking picks the same greedy configs as unbatched ranking, and
+# exits non-zero when the batched path shows no speedup or a repeated batch
+# never hits the what-if cache.
 ./target/release/bench_selection smoke
 
 echo "== observe smoke (telemetry overhead gate)"
