@@ -200,8 +200,8 @@ fn merge_unique(a: &[String], b: &[String]) -> Vec<String> {
 
 /// Syntactic candidate pool: for each query and table, every prefix of the
 /// canonical attribute order (eq by NDV, then ranges, then order/group
-/// columns) up to `max_width`, plus each single attribute. This mirrors the
-/// per-query candidate pools of AutoAdmin/DB2Advis-class algorithms.
+/// columns) up to `max_width`, plus each single attribute: the per-query
+/// candidate pool that DTA-style search seeds from.
 pub fn syntactic_candidates(
     db: &Database,
     workload: &[WeightedQuery],

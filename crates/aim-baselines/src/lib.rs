@@ -6,25 +6,16 @@
 //! |---|---|---|
 //! | [`Extend`] / [`Gia`] | academic SOTA | add-or-extend one column per step, best benefit per byte |
 //! | [`Dta`] | industrial SOTA | per-query candidates → merging → greedy anytime enumeration |
-//! | [`AutoAdmin`] | classic | per-query candidates → exhaustive seed → greedy growth |
-//! | [`Db2Advis`] | classic | stand-alone benefit/size ranking, single pass |
-//! | [`DropHeuristic`] | classic | start from everything, drop the cheapest loss |
 //!
 //! All advisors implement [`aim_core::IndexAdvisor`] and report the number
 //! of optimizer (what-if) calls of their last run — the quantity that
 //! dominates their runtime, per Papadomanolakis et al. and §VIII-a of the
 //! paper.
 
-pub mod autoadmin;
 pub mod common;
-pub mod db2advis;
-pub mod drop_heuristic;
 pub mod dta;
 pub mod extend;
 
-pub use autoadmin::AutoAdmin;
 pub use common::{indexable_columns, syntactic_candidates, CostEvaluator};
-pub use db2advis::Db2Advis;
-pub use drop_heuristic::DropHeuristic;
 pub use dta::Dta;
 pub use extend::{Extend, Gia};

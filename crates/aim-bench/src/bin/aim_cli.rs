@@ -521,7 +521,7 @@ fn run_continuous(args: &[String], trace_out: Option<&str>) {
     // a materialization that regresses it (ledger stage
     // `regression_rollback`).
     let mut tuner = aim_core::ContinuousTuner::with_session(session.clone(), 0.5)
-        .with_sentinel(aim_core::LatencySentinel::new(Default::default()));
+        .with_sentinel(aim_core::LatencySentinel::new());
     for w in 1..=windows {
         let mut monitor = WorkloadMonitor::new();
         for wq in &weighted {

@@ -31,7 +31,7 @@
 //!
 //! Usage: `cargo run -p aim-bench --bin bench_observe --release -- [smoke]`
 
-use aim_core::{LatencySentinel, SentinelConfig};
+use aim_core::LatencySentinel;
 use aim_exec::Engine;
 use aim_sql::parse_statement;
 use aim_sql::Statement;
@@ -130,7 +130,7 @@ fn run_round(
     }
     let hooks = config != Config::Baseline;
     let labeled = config == Config::Labeled;
-    let mut sentinel = LatencySentinel::new(SentinelConfig::default());
+    let mut sentinel = LatencySentinel::new();
     let per_batch = iters / batches;
 
     let t = Instant::now();

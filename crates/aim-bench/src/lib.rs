@@ -112,11 +112,6 @@ pub fn measure_avg_cost(
     }
 }
 
-/// Prints one CSV row to stdout.
-pub fn csv_row(fields: &[String]) {
-    println!("{}", fields.join(","));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

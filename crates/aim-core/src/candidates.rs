@@ -314,19 +314,7 @@ pub fn candidates_for_selection(
     j: usize,
     mode: CoveringMode,
 ) -> Vec<(String, PartialOrder)> {
-    candidates_for_selection_opt(db, structure, j, mode, true)
-}
-
-/// [`candidates_for_selection`] with the dataless-statistics switch exposed
-/// (ablation support).
-pub fn candidates_for_selection_opt(
-    db: &Database,
-    structure: &QueryStructure,
-    j: usize,
-    mode: CoveringMode,
-    use_stats: bool,
-) -> Vec<(String, PartialOrder)> {
-    candidates_for_selection_cfg(db, structure, j, mode, use_stats, 0.0)
+    candidates_for_selection_cfg(db, structure, j, mode, true, 0.0)
 }
 
 fn candidates_for_selection_cfg(

@@ -4,11 +4,10 @@
 //! AIM achieves continuous tuning by re-running the (cheap) tuning pass
 //! periodically. Between passes, an off-host regression detector watches
 //! the average CPU of every normalized query; a regression attributed to an
-//! automation-created index flags that index for removal. Unused and
-//! prefix-redundant indexes are detected from the workload window and
-//! dropped.
+//! automation-created index flags that index for removal. Unused
+//! indexes are detected from the workload window and dropped.
 
-use crate::driver::{Aim, AimOutcome};
+use crate::driver::AimOutcome;
 use crate::error::AimError;
 use crate::sentinel::LatencySentinel;
 use crate::session::TuningSession;
@@ -115,24 +114,6 @@ pub fn find_unused_indexes(db: &Database, monitor: &WorkloadMonitor) -> Vec<Inde
         .collect()
 }
 
-/// Indexes whose key columns are a strict prefix of another index on the
-/// same table — the "(parts of) unused indexes" the paper drops: the wider
-/// index serves every query the narrower one can.
-pub fn find_prefix_redundant_indexes(db: &Database) -> Vec<IndexDef> {
-    let all = db.all_indexes();
-    all.iter()
-        .filter(|a| {
-            all.iter().any(|b| {
-                a.table == b.table
-                    && a.name != b.name
-                    && b.columns.len() > a.columns.len()
-                    && b.columns[..a.columns.len()] == a.columns[..]
-            })
-        })
-        .cloned()
-        .collect()
-}
-
 /// Outcome of one continuous-tuning step.
 #[derive(Debug, Clone, Default)]
 pub struct ContinuousOutcome {
@@ -169,12 +150,6 @@ pub struct ContinuousTuner {
 }
 
 impl ContinuousTuner {
-    /// Creates a continuous tuner around an [`Aim`] instance (no deadline,
-    /// default retries).
-    pub fn new(aim: Aim, regression_tolerance: f64) -> Self {
-        Self::with_session(TuningSession::from_aim(aim), regression_tolerance)
-    }
-
     /// Creates a continuous tuner around a configured [`TuningSession`],
     /// inheriting its deadline, retry policy and cancel token per step.
     pub fn with_session(session: TuningSession, regression_tolerance: f64) -> Self {
@@ -478,24 +453,6 @@ mod tests {
         // Only automation-owned unused indexes are reported.
         assert_eq!(unused.len(), 1);
         assert_eq!(unused[0].name, "aim_t_b");
-    }
-
-    #[test]
-    fn prefix_redundancy_detected() {
-        let mut db = db();
-        let mut io = IoStats::new();
-        db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
-            .unwrap();
-        db.create_index(
-            IndexDef::new("ix_ab", "t", vec!["a".into(), "b".into()]),
-            &mut io,
-        )
-        .unwrap();
-        db.create_index(IndexDef::new("ix_b", "t", vec!["b".into()]), &mut io)
-            .unwrap();
-        let redundant = find_prefix_redundant_indexes(&db);
-        assert_eq!(redundant.len(), 1);
-        assert_eq!(redundant[0].name, "ix_a");
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! creates narrow indexes; once those are observed in use with high seek
 //! counts, `TryCoveringIndex` flips qualifying queries to covering mode.
 //!
-//! This module keeps the pass's configuration ([`AimConfig`]), result
-//! ([`AimOutcome`]) and the [`Aim`] pair (config + engine) that sessions
-//! wrap. Multi-tenant fleets run many sessions at once through
+//! This module keeps the pass's configuration ([`AimConfig`]) and result
+//! ([`AimOutcome`]). Multi-tenant fleets run many sessions at once through
 //! [`FleetSession`](crate::fleet::FleetSession), whose 1-tenant form is
 //! the canonical single-database entry path.
 
@@ -28,7 +27,6 @@ use crate::candidates::CandidateGenConfig;
 use crate::session::AimConfigBuilder;
 use crate::sharding::ShardingProfile;
 use crate::validate::ValidationConfig;
-use aim_exec::Engine;
 use aim_monitor::SelectionConfig;
 use aim_storage::IndexDef;
 use std::time::Duration;
@@ -71,8 +69,9 @@ pub struct AimConfig {
     /// check per phase and allocates nothing.
     pub record_ledger: bool,
     /// Storage backend the production database is provisioned on (see
-    /// [`TuningSession::provision_database`]). The advisor pipeline itself
-    /// is backend-agnostic: validation clones are always in-memory.
+    /// [`TuningSession::provision_database`](crate::session::TuningSession::provision_database)).
+    /// The advisor pipeline itself is backend-agnostic: validation clones
+    /// are always in-memory.
     pub backend: BackendSpec,
     /// Tenant label for dimensional telemetry: when set, the whole pass
     /// runs under a [`aim_telemetry::scope`] so every instrument the
@@ -101,7 +100,7 @@ impl Default for AimConfig {
 
 impl AimConfig {
     /// Starts a builder — the construction path for configs and
-    /// [`TuningSession`]s.
+    /// [`TuningSession`](crate::session::TuningSession)s.
     pub fn builder() -> AimConfigBuilder {
         AimConfigBuilder::default()
     }
@@ -142,32 +141,11 @@ pub struct AimOutcome {
     pub degraded: bool,
 }
 
-/// The configuration + execution-engine pair a
-/// [`TuningSession`](crate::session::TuningSession) wraps.
-///
-/// Not an entry point on its own: build sessions via
-/// [`AimConfig::builder`], or fleets via
-/// [`FleetSession`](crate::fleet::FleetSession).
-#[derive(Debug, Clone, Default)]
-pub struct Aim {
-    pub config: AimConfig,
-    pub engine: Engine,
-}
-
-impl Aim {
-    /// Creates a tuner with the given configuration.
-    pub fn new(config: AimConfig) -> Self {
-        Self {
-            config,
-            engine: Engine::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::TuningSession;
+    use aim_exec::Engine;
     use aim_monitor::WorkloadMonitor;
     use aim_sql::parse_statement;
     use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};

@@ -44,7 +44,7 @@
 //! assert_eq!(outcome.failed(), 0);
 //! ```
 
-use crate::driver::{Aim, AimConfig, AimOutcome};
+use crate::driver::{AimConfig, AimOutcome};
 use crate::error::AimError;
 use crate::ledger::DecisionLedger;
 use crate::partial_order::PartialOrder;
@@ -89,13 +89,6 @@ impl Tenant {
         self.profile = Some(profile);
         self
     }
-
-    /// Merges a collector's observation window into this tenant's stream
-    /// (see [`WorkloadMonitor::absorb`]): fleet tenants often receive
-    /// traffic through several collectors per window.
-    pub fn absorb_stream(&mut self, window: &WorkloadMonitor) {
-        self.monitor.absorb(window);
-    }
 }
 
 /// How the fleet-wide storage budget is split across tenants.
@@ -111,6 +104,9 @@ pub enum BudgetAllocation {
     #[default]
     Knapsack,
 }
+
+/// At most this many seed orders are taken from each hot tenant.
+const MAX_SEED_ORDERS: usize = 8;
 
 /// Fleet pass configuration.
 ///
@@ -132,11 +128,10 @@ pub struct FleetConfig {
     pub fleet_workers: usize,
     /// Budget split policy.
     pub allocation: BudgetAllocation,
-    /// Hand hot tenants' top partial orders to cold tenants' candidate
-    /// generation (on by default; evidence-free seeds are inert there).
+    /// Hand hot tenants' top partial orders (at most 8 each) to cold
+    /// tenants' candidate generation (on by default; evidence-free seeds
+    /// are inert there).
     pub cross_shard_seeding: bool,
-    /// At most this many seed orders are taken from each hot tenant.
-    pub max_seed_orders: usize,
 }
 
 impl Default for FleetConfig {
@@ -148,7 +143,6 @@ impl Default for FleetConfig {
             fleet_workers: 0,
             allocation: BudgetAllocation::default(),
             cross_shard_seeding: true,
-            max_seed_orders: 8,
         }
     }
 }
@@ -200,12 +194,6 @@ impl FleetConfigBuilder {
     /// Enables/disables hot→cold candidate seeding.
     pub fn cross_shard_seeding(mut self, on: bool) -> Self {
         self.cfg.cross_shard_seeding = on;
-        self
-    }
-
-    /// Cap on seed orders taken from each hot tenant.
-    pub fn max_seed_orders(mut self, n: usize) -> Self {
-        self.cfg.max_seed_orders = n;
         self
     }
 
@@ -398,7 +386,7 @@ impl FleetSession {
         // Hot tenants (top quartile by window CPU) offer their top-ranked
         // partial orders as seeds to everyone else.
         let seeds = if self.cfg.cross_shard_seeding {
-            collect_seeds(&probes, self.cfg.max_seed_orders)
+            collect_seeds(&probes)
         } else {
             Vec::new()
         };
@@ -489,7 +477,7 @@ impl FleetSession {
             cfg.workers = 1;
             cfg.validation.workers = 1;
         }
-        let mut session = TuningSession::from_aim(Aim::new(cfg));
+        let mut session = TuningSession::new(cfg);
         session.set_retry(self.retry.clone());
         session.set_deadline(
             fleet_deadline.map(|d| d.saturating_duration_since(Instant::now())),
@@ -712,11 +700,11 @@ fn hot_tenants(probes: &[Probe]) -> BTreeSet<usize> {
 /// The seed pool: each hot tenant's top-ranked candidate partial orders
 /// (post sharding re-price, so the order reflects fleet economics),
 /// deduplicated across tenants.
-fn collect_seeds(probes: &[Probe], max_per_tenant: usize) -> Vec<(String, PartialOrder)> {
+fn collect_seeds(probes: &[Probe]) -> Vec<(String, PartialOrder)> {
     let hot = hot_tenants(probes);
     let mut seen: BTreeSet<(String, PartialOrder)> = BTreeSet::new();
     for i in &hot {
-        for r in probes[*i].ranked.iter().take(max_per_tenant) {
+        for r in probes[*i].ranked.iter().take(MAX_SEED_ORDERS) {
             seen.insert((r.candidate.table.clone(), r.candidate.po.clone()));
         }
     }

@@ -94,11 +94,11 @@ pub use candidates::{
     CoveringMode, CoveringPolicy,
 };
 pub use continuous::{
-    find_prefix_redundant_indexes, find_unused_indexes, ContinuousOutcome, ContinuousTuner,
-    RegressionDetector, AIM_INDEX_PREFIX,
+    find_unused_indexes, ContinuousOutcome, ContinuousTuner, RegressionDetector,
+    AIM_INDEX_PREFIX,
 };
 pub use backend::BackendSpec;
-pub use driver::{Aim, AimConfig, AimOutcome, CreatedIndex};
+pub use driver::{AimConfig, AimOutcome, CreatedIndex};
 pub use error::AimError;
 pub use fleet::{
     BudgetAllocation, FleetConfig, FleetConfigBuilder, FleetOutcome, FleetSession, Tenant,
@@ -111,7 +111,7 @@ pub use ranking::{
     knapsack_select, knapsack_select_explained, rank_candidates, rank_candidates_unbatched,
     rank_candidates_with, try_rank_candidates_with, KnapsackDecision, RankedCandidate,
 };
-pub use sentinel::{LatencySentinel, SentinelConfig, SentinelStat, SentinelVerdict};
+pub use sentinel::{LatencySentinel, SentinelVerdict};
 pub use session::{AimConfigBuilder, CancelToken, RetryPolicy, RunCtl, TuningSession};
 pub use sharding::ShardingProfile;
 pub use validate::{

@@ -412,8 +412,8 @@ pub fn rank_candidates(
 
 /// [`rank_candidates`] with an explicit worker count (`0` = auto).
 ///
-/// Workload queries are evaluated independently — each produces a
-/// [`QueryContribution`] — on `workers` scoped threads over contiguous
+/// Workload queries are evaluated independently — each produces its own
+/// per-candidate contribution — on `workers` scoped threads over contiguous
 /// chunks, then merged on the calling thread *in workload order*. Since
 /// f64 accumulation happens in the same order as the sequential loop, the
 /// output is bit-identical for any worker count.

@@ -4,8 +4,8 @@
 //! CPU; it cannot see an aggregate tail-latency regression spread thinly
 //! across the workload — the failure mode DBA-bandits-style safety loops
 //! guard against. The sentinel closes that gap from the windowed telemetry
-//! side: it keeps an EWMA baseline of a select-latency histogram statistic
-//! (p99 of `exec.select_cost` by default) across tuning windows, arms
+//! side: it keeps an EWMA baseline of the windowed p99 of
+//! `exec.select_cost` across tuning windows, arms
 //! itself whenever a pass materializes indexes, and — if an armed window's
 //! statistic exceeds the baseline by the tolerance — returns a
 //! [`SentinelVerdict::Regressed`] naming the materialized indexes as
@@ -34,55 +34,27 @@ use aim_storage::{Database, IndexDef};
 use aim_telemetry as tel;
 use aim_telemetry::timeseries::{Window, WindowHistogram};
 
-/// Which windowed statistic of the watched histogram the sentinel tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SentinelStat {
-    P50,
-    P90,
-    P99,
-    Mean,
-}
-
-/// Tuning knobs for [`LatencySentinel`].
-#[derive(Debug, Clone)]
-pub struct SentinelConfig {
-    /// Windowed histogram to watch (a [`aim_telemetry::timeseries`] name).
-    pub histogram: &'static str,
-    /// Statistic of that histogram compared against the baseline.
-    pub stat: SentinelStat,
-    /// Tolerated relative growth over the EWMA baseline before an armed
-    /// window is declared regressed (`0.5` = 50%).
-    pub tolerance: f64,
-    /// EWMA smoothing factor in `(0, 1]`; higher weighs recent windows
-    /// more.
-    pub ewma_alpha: f64,
-    /// How many post-materialization windows stay under scrutiny before
-    /// the sentinel disarms on its own.
-    pub arm_windows: usize,
-    /// Windows with fewer observations than this neither update the
-    /// baseline nor count against the armed grace period.
-    pub min_samples: u64,
-}
-
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        Self {
-            histogram: "exec.select_cost",
-            stat: SentinelStat::P99,
-            tolerance: 0.5,
-            ewma_alpha: 0.3,
-            arm_windows: 2,
-            min_samples: 5,
-        }
-    }
-}
+/// Windowed histogram the sentinel watches (a [`aim_telemetry::timeseries`]
+/// name); the sentinel tracks its p99.
+const HISTOGRAM: &str = "exec.select_cost";
+/// Tolerated relative growth of the p99 over the EWMA baseline before an
+/// armed window is declared regressed (50%).
+const TOLERANCE: f64 = 0.5;
+/// EWMA smoothing factor in `(0, 1]`; higher weighs recent windows more.
+const EWMA_ALPHA: f64 = 0.3;
+/// How many post-materialization windows stay under scrutiny before the
+/// sentinel disarms on its own.
+const ARM_WINDOWS: usize = 2;
+/// Windows with fewer observations than this neither update the baseline
+/// nor count against the armed grace period.
+const MIN_SAMPLES: u64 = 5;
 
 /// What the sentinel concluded about one window.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SentinelVerdict {
     /// Not armed; the window fed the baseline.
     Idle,
-    /// Too little data to judge (below `min_samples`, or no baseline yet
+    /// Too little data to judge (below `MIN_SAMPLES`, or no baseline yet
     /// while armed); nothing changed.
     Insufficient,
     /// Armed and the window looked fine; scrutiny continues.
@@ -144,22 +116,19 @@ impl RollbackTarget for Database {
 
 /// EWMA + threshold detector over windowed select-latency statistics,
 /// one independent baseline per tenant (`""` = the all-tenant series).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencySentinel {
-    pub config: SentinelConfig,
     states: BTreeMap<String, TenantState>,
 }
 
 impl LatencySentinel {
-    pub fn new(config: SentinelConfig) -> Self {
-        Self {
-            config,
-            states: BTreeMap::new(),
-        }
+    /// A sentinel with no baselines and no armed watch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Puts the global (all-tenant) sentinel on alert: the next
-    /// `arm_windows` data-bearing windows are compared against the
+    /// two data-bearing windows are compared against the
     /// baseline, with `suspects` (the just-materialized indexes) on the
     /// hook. Re-arming replaces any previous watch.
     pub fn arm(&mut self, suspects: Vec<String>) {
@@ -171,10 +140,9 @@ impl LatencySentinel {
         if suspects.is_empty() {
             return;
         }
-        let windows_left = self.config.arm_windows;
         self.states.entry(tenant.to_string()).or_default().armed = Some(Armed {
             suspects,
-            windows_left,
+            windows_left: ARM_WINDOWS,
         });
     }
 
@@ -205,21 +173,8 @@ impl LatencySentinel {
         self.states.get("").map_or(0, |s| s.windows_observed)
     }
 
-    /// Tenants with any sentinel state (baseline or armed watch).
-    pub fn tenants(&self) -> Vec<String> {
-        self.states.keys().cloned().collect()
-    }
-
-    fn stat_of(&self, h: &WindowHistogram) -> Option<f64> {
-        if h.count < self.config.min_samples {
-            return None;
-        }
-        Some(match self.config.stat {
-            SentinelStat::P50 => h.p50,
-            SentinelStat::P90 => h.p90,
-            SentinelStat::P99 => h.p99,
-            SentinelStat::Mean => h.mean(),
-        })
+    fn stat_of(h: &WindowHistogram) -> Option<f64> {
+        (h.count >= MIN_SAMPLES).then_some(h.p99)
     }
 
     /// Judges one tenant's windowed stat. Regressed windows are *not*
@@ -227,12 +182,11 @@ impl LatencySentinel {
     /// pre-materialization world the baseline describes); neither are
     /// windows under a firing alert, so an incident cannot normalize
     /// itself into the EWMA.
-    fn judge(config: &SentinelConfig, state: &mut TenantState, stat: Option<f64>, alert: bool) -> SentinelVerdict {
+    fn judge(state: &mut TenantState, stat: Option<f64>, alert: bool) -> SentinelVerdict {
         let absorb = |state: &mut TenantState, stat: f64| {
-            let alpha = config.ewma_alpha.clamp(f64::EPSILON, 1.0);
             state.ewma = Some(match state.ewma {
                 None => stat,
-                Some(e) => alpha * stat + (1.0 - alpha) * e,
+                Some(e) => EWMA_ALPHA * stat + (1.0 - EWMA_ALPHA) * e,
             });
             state.windows_observed += 1;
         };
@@ -246,7 +200,7 @@ impl LatencySentinel {
                 absorb(state, stat);
                 return SentinelVerdict::Insufficient;
             };
-            if alert || stat > baseline * (1.0 + config.tolerance) {
+            if alert || stat > baseline * (1.0 + TOLERANCE) {
                 let suspects = std::mem::take(&mut armed.suspects);
                 state.armed = None;
                 return SentinelVerdict::Regressed {
@@ -276,11 +230,9 @@ impl LatencySentinel {
 
     /// Judges the global (unlabeled) series of one closed window.
     pub fn observe_window(&mut self, w: &Window) -> SentinelVerdict {
-        let stat = w
-            .histogram(self.config.histogram)
-            .and_then(|h| self.stat_of(h));
+        let stat = w.histogram(HISTOGRAM).and_then(Self::stat_of);
         let state = self.states.entry(String::new()).or_default();
-        Self::judge(&self.config, state, stat, false)
+        Self::judge(state, stat, false)
     }
 
     /// Judges every tenant series of one closed window independently —
@@ -298,8 +250,8 @@ impl LatencySentinel {
         firing: &BTreeSet<String>,
     ) -> Vec<TenantVerdict> {
         let mut stats: BTreeMap<String, Option<f64>> = BTreeMap::new();
-        for (tenant, h) in w.tenant_histograms(self.config.histogram) {
-            stats.insert(tenant.unwrap_or_default(), self.stat_of(h));
+        for (tenant, h) in w.tenant_histograms(HISTOGRAM) {
+            stats.insert(tenant.unwrap_or_default(), Self::stat_of(h));
         }
         // Armed tenants with no data this window still get judged (as
         // Insufficient) so their gauges stay fresh.
@@ -310,7 +262,7 @@ impl LatencySentinel {
         for (tenant, stat) in stats {
             let alert = firing.contains(&tenant);
             let state = self.states.entry(tenant.clone()).or_default();
-            let verdict = Self::judge(&self.config, state, stat, alert);
+            let verdict = Self::judge(state, stat, alert);
             let gauge = match &verdict {
                 SentinelVerdict::Regressed { .. } => 2,
                 _ if state.armed.is_some() => 1,
@@ -365,7 +317,7 @@ impl LatencySentinel {
                     status.slow_burn
                 ),
             );
-            if status.metric == self.config.histogram {
+            if status.metric == HISTOGRAM {
                 firing.insert(tenant);
             }
         }
@@ -481,7 +433,7 @@ mod tests {
 
     #[test]
     fn idle_windows_build_an_ewma_baseline() {
-        let mut s = LatencySentinel::new(SentinelConfig::default());
+        let mut s = LatencySentinel::new();
         assert_eq!(s.observe_window(&window(10, 100.0)), SentinelVerdict::Idle);
         assert_eq!(s.baseline(), Some(100.0));
         s.observe_window(&window(10, 200.0));
@@ -492,7 +444,7 @@ mod tests {
 
     #[test]
     fn sparse_windows_are_ignored() {
-        let mut s = LatencySentinel::new(SentinelConfig::default());
+        let mut s = LatencySentinel::new();
         assert_eq!(
             s.observe_window(&window(2, 1e9)),
             SentinelVerdict::Insufficient
@@ -510,7 +462,7 @@ mod tests {
 
     #[test]
     fn armed_regression_names_the_suspects_once() {
-        let mut s = LatencySentinel::new(SentinelConfig::default());
+        let mut s = LatencySentinel::new();
         s.observe_window(&window(10, 100.0));
         s.arm(vec!["aim_t_a".into(), "aim_t_ab".into()]);
         let verdict = s.observe_window(&window(10, 151.0));
@@ -535,10 +487,7 @@ mod tests {
 
     #[test]
     fn clean_windows_clear_then_disarm() {
-        let mut s = LatencySentinel::new(SentinelConfig {
-            arm_windows: 2,
-            ..SentinelConfig::default()
-        });
+        let mut s = LatencySentinel::new();
         s.observe_window(&window(10, 100.0));
         s.arm(vec!["aim_t_a".into()]);
         assert_eq!(
@@ -557,14 +506,14 @@ mod tests {
 
     #[test]
     fn arming_with_no_suspects_is_a_noop() {
-        let mut s = LatencySentinel::new(SentinelConfig::default());
+        let mut s = LatencySentinel::new();
         s.arm(Vec::new());
         assert!(!s.is_armed());
     }
 
     #[test]
     fn per_tenant_baselines_are_independent() {
-        let mut s = LatencySentinel::new(SentinelConfig::default());
+        let mut s = LatencySentinel::new();
         let none = BTreeSet::new();
         s.observe_window_all(&tenant_window(&[("a", 10, 100.0), ("b", 10, 5000.0)]), &none);
         assert_eq!(s.baseline_for("a"), Some(100.0));
@@ -591,7 +540,7 @@ mod tests {
 
     #[test]
     fn firing_alert_forces_an_armed_regression_and_freezes_idle_baselines() {
-        let mut s = LatencySentinel::new(SentinelConfig::default());
+        let mut s = LatencySentinel::new();
         let mut firing = BTreeSet::new();
         s.observe_window_all(&tenant_window(&[("a", 10, 100.0), ("b", 10, 100.0)]), &firing);
         s.arm_tenant("a", vec!["aim_a_x".into()]);

@@ -32,7 +32,7 @@
 //! ```
 
 use crate::candidates::try_generate_candidates;
-use crate::driver::{Aim, AimConfig, AimOutcome, CreatedIndex};
+use crate::driver::{AimConfig, AimOutcome, CreatedIndex};
 use crate::error::AimError;
 use crate::ledger::DecisionLedger;
 use crate::ranking::{
@@ -231,7 +231,8 @@ impl AimConfigBuilder {
     }
 
     /// Storage backend the production database is provisioned on
-    /// ([`BackendSpec::Memory`] by default). See
+    /// ([`BackendSpec::Memory`](crate::backend::BackendSpec::Memory) by
+    /// default). See
     /// [`TuningSession::provision_database`].
     pub fn backend(mut self, backend: crate::backend::BackendSpec) -> Self {
         self.cfg.backend = backend;
@@ -247,7 +248,8 @@ impl AimConfigBuilder {
         self
     }
 
-    /// Finishes the configuration (for [`Aim::new`] or the advisor).
+    /// Finishes the configuration (for [`TuningSession::new`] or the
+    /// advisor).
     pub fn build(self) -> AimConfig {
         self.cfg
     }
@@ -255,11 +257,9 @@ impl AimConfigBuilder {
     /// Finishes into a ready-to-run [`TuningSession`].
     pub fn session(self) -> TuningSession {
         TuningSession {
-            aim: Aim::new(self.cfg),
             deadline: self.deadline,
             retry: self.retry,
-            cancel: CancelToken::new(),
-            ledger: Arc::new(Mutex::new(DecisionLedger::default())),
+            ..TuningSession::new(self.cfg)
         }
     }
 }
@@ -270,7 +270,9 @@ impl AimConfigBuilder {
 /// step).
 #[derive(Debug, Clone)]
 pub struct TuningSession {
-    aim: Aim,
+    config: AimConfig,
+    /// The execution engine used for validation replay.
+    engine: aim_exec::Engine,
     deadline: Option<Duration>,
     retry: RetryPolicy,
     cancel: CancelToken,
@@ -281,11 +283,11 @@ pub struct TuningSession {
 }
 
 impl TuningSession {
-    /// Wraps an existing [`Aim`] (no deadline, default retries) — the
-    /// migration path for code still holding an `Aim`.
-    pub fn from_aim(aim: Aim) -> Self {
+    /// A session over `config` with no deadline and default retries.
+    pub fn new(config: AimConfig) -> Self {
         Self {
-            aim,
+            config,
+            engine: aim_exec::Engine::new(),
             deadline: None,
             retry: RetryPolicy::default(),
             cancel: CancelToken::new(),
@@ -295,7 +297,7 @@ impl TuningSession {
 
     /// The pass configuration.
     pub fn config(&self) -> &AimConfig {
-        &self.aim.config
+        &self.config
     }
 
     /// Provisions the production database on the configured
@@ -304,14 +306,14 @@ impl TuningSession {
     /// load, re-ANALYZE). Injected storage faults surface as the
     /// retryable [`AimError::Fault`].
     pub fn provision_database(&self) -> Result<Database, AimError> {
-        self.aim.config.backend.provision().map_err(|e| {
+        self.config.backend.provision().map_err(|e| {
             AimError::from_exec("provision", ExecError::Storage(e))
         })
     }
 
     /// The execution engine used for validation replay.
     pub fn engine(&self) -> &aim_exec::Engine {
-        &self.aim.engine
+        &self.engine
     }
 
     /// A handle that cancels any in-flight (or future) [`TuningSession::run`]
@@ -352,17 +354,12 @@ impl TuningSession {
         self.lock_ledger().to_json()
     }
 
-    /// Discards all recorded ledger state.
-    pub fn clear_ledger(&self) {
-        self.lock_ledger().clear();
-    }
-
     fn lock_ledger(&self) -> std::sync::MutexGuard<'_, DecisionLedger> {
         self.ledger.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn recording(&self) -> bool {
-        self.aim.config.record_ledger
+        self.config.record_ledger
     }
 
     /// Applies `f` to the ledger iff recording is on — the single gate
@@ -457,7 +454,7 @@ impl TuningSession {
         outcome: &mut AimOutcome,
         created_defs: &mut Vec<IndexDef>,
     ) -> Result<(), AimError> {
-        let cfg = &self.aim.config;
+        let cfg = &self.config;
         let pass = if self.recording() {
             self.lock_ledger().begin_pass()
         } else {
@@ -542,7 +539,7 @@ impl TuningSession {
                         db,
                         &workload,
                         &candidates,
-                        &self.aim.engine.cost_model,
+                        &self.engine.cost_model,
                         workers,
                         ctl,
                     )
@@ -635,7 +632,7 @@ impl TuningSession {
                         let shrunk = vcfg.sample_fraction.unwrap_or(1.0) * 0.5;
                         vcfg.sample_fraction = Some(shrunk.max(0.1));
                     }
-                    try_validate_on_clone(db, &workload, &chosen, &self.aim.engine, &vcfg, ctl)
+                    try_validate_on_clone(db, &workload, &chosen, &self.engine, &vcfg, ctl)
                 })?;
             if attempts > 0 {
                 self.note_degraded(

@@ -21,6 +21,9 @@ use aim_sql::normalize::QueryFingerprint;
 use aim_storage::{Database, IndexDef, IoStats};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Seed of the deterministic sampled clone.
+const SAMPLE_SEED: u64 = 0x5A11;
+
 /// Validation thresholds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationConfig {
@@ -41,10 +44,9 @@ pub struct ValidationConfig {
     /// Maximum reject-and-revalidate rounds.
     pub max_rounds: usize,
     /// Validate on a sampled clone instead of a full copy (MyShadow's
-    /// economical-test-bed sampling, §VII-B). `None` = full clone.
+    /// economical-test-bed sampling, §VII-B), drawn deterministically
+    /// from a fixed seed. `None` = full clone.
     pub sample_fraction: Option<f64>,
-    /// Seed for the deterministic sample.
-    pub sample_seed: u64,
     /// Replay worker threads (`0` = one per available core). Parallel
     /// replay engages only for pure-SELECT workloads, where it is
     /// bit-identical to the sequential pass; workloads containing DML
@@ -62,7 +64,6 @@ impl Default for ValidationConfig {
             require_usage: true,
             max_rounds: 3,
             sample_fraction: None,
-            sample_seed: 0x5A11,
             workers: 0,
         }
     }
@@ -269,7 +270,7 @@ fn validate_core(
     let mut bed: Database = {
         let _s = aim_telemetry::span("clone_test_bed");
         match cfg.sample_fraction {
-            Some(f) if f < 1.0 => db.sample(f, cfg.sample_seed),
+            Some(f) if f < 1.0 => db.sample(f, SAMPLE_SEED),
             _ => clone_db(db, strict)?,
         }
     };

@@ -50,7 +50,6 @@ pub mod explain;
 pub mod hypothetical;
 pub mod iocheck;
 pub mod planner;
-pub mod prepare;
 pub mod predicate;
 pub mod whatif;
 
@@ -66,5 +65,4 @@ pub use planner::{
     IndexChoice, IndexScan, Plan, Planner, TableStep,
 };
 pub use predicate::{JoinPred, PredicateAnalysis, Sarg, SargValue};
-pub use prepare::{bind_params, param_count};
 pub use whatif::{whatif_cost, WhatIfCache, WhatIfCacheStats, WhatIfEntry};

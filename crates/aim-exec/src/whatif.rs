@@ -28,7 +28,7 @@ use crate::cost::CostModel;
 use crate::error::ExecError;
 use crate::hypothetical::HypoConfig;
 use crate::planner::{plan_select, IndexChoice, Plan, Planner};
-use aim_sql::ast::{Select, Statement};
+use aim_sql::ast::Select;
 use aim_storage::Database;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -65,13 +65,6 @@ impl fmt::Write for FnvWriter {
 pub fn select_fingerprint(select: &Select) -> u64 {
     let mut w = FnvWriter::new();
     let _ = write!(w, "{select}");
-    w.0
-}
-
-/// Fingerprint of any statement's printed form (literals included).
-pub fn statement_fingerprint(stmt: &Statement) -> u64 {
-    let mut w = FnvWriter::new();
-    let _ = write!(w, "{stmt}");
     w.0
 }
 
@@ -460,6 +453,7 @@ pub fn whatif_cost(
 mod tests {
     use super::*;
     use crate::hypothetical::HypotheticalIndex;
+    use aim_sql::ast::Statement;
     use aim_sql::parse_statement;
     use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema, Value};
 

@@ -698,20 +698,3 @@ fn nine_table_join_uses_greedy_order() {
     assert_eq!(out.rows.len(), expected);
     assert_eq!(out.plan.steps.len(), 9);
 }
-
-#[test]
-fn prepared_statement_execution() {
-    let mut db = orders_db(500);
-    let engine = Engine::new();
-    let stmt = parse_statement("SELECT id FROM orders WHERE customer_id = ? AND region = ?")
-        .unwrap();
-    let out = engine
-        .execute_prepared(&mut db, &stmt, &[Value::Int(7), Value::Int(0)])
-        .unwrap();
-    let expected = (0..500).filter(|i| i % 50 == 7 && i % 7 == 0).count();
-    assert_eq!(out.rows.len(), expected);
-    // Wrong arity errors.
-    assert!(engine
-        .execute_prepared(&mut db, &stmt, &[Value::Int(7)])
-        .is_err());
-}

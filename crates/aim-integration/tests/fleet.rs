@@ -134,7 +134,7 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
     let mut bare_db = orders_db(6000);
     let mut bare_monitor = WorkloadMonitor::new();
     populate(&mut bare_db, &mut bare_monitor);
-    let bare_session = TuningSession::from_aim(aim_core::Aim::new(base()));
+    let bare_session = TuningSession::new(base());
     let bare = bare_session
         .run(&mut bare_db, &bare_monitor)
         .expect("bare pass converges");

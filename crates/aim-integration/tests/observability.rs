@@ -7,13 +7,13 @@ use aim_core::continuous::ContinuousTuner;
 use aim_core::fleet::{FleetConfig, Tenant};
 use aim_core::{
     generate_candidates, rank_candidates_with, AimConfig, CandidateGenConfig, DecisionLedger,
-    LatencySentinel, SentinelConfig,
+    LatencySentinel,
 };
 use aim_exec::{estimate_statement_cost, CostModel, Engine, HypoConfig};
 use aim_monitor::{QueryStats, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
-use aim_telemetry::{EventKind, MemorySink};
+use aim_telemetry::EventKind;
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use std::sync::Mutex;
 
@@ -74,10 +74,6 @@ fn sentinel_rolls_back_a_seeded_regression_within_two_windows() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     aim_telemetry::enable();
     aim_telemetry::reset();
-    aim_telemetry::clear_sinks();
-    let sink = MemorySink::new();
-    let handle = sink.handle();
-    aim_telemetry::add_sink(Box::new(sink));
 
     let mut db = build_db(4000);
     let session = AimConfig::builder()
@@ -90,7 +86,7 @@ fn sentinel_rolls_back_a_seeded_regression_within_two_windows() {
         .ledger(true)
         .session();
     let mut tuner = ContinuousTuner::with_session(session.clone(), 0.5)
-        .with_sentinel(LatencySentinel::new(SentinelConfig::default()));
+        .with_sentinel(LatencySentinel::new());
 
     // Window 1: steady point-select traffic on `a`. The closing tick
     // baselines the sentinel's EWMA, and the pass materializes an index
@@ -128,9 +124,9 @@ fn sentinel_rolls_back_a_seeded_regression_within_two_windows() {
         "rolled-back index still present in the database"
     );
 
-    // The rollback is journaled ...
-    let rollback_events: Vec<_> = handle
-        .events()
+    // The rollback is journaled (the ring evicted nothing) ...
+    assert_eq!(aim_telemetry::journal::dropped(), 0, "journal evicted events");
+    let rollback_events: Vec<_> = aim_telemetry::events()
         .into_iter()
         .filter(|e| e.kind == EventKind::RegressionRollback)
         .collect();
@@ -150,7 +146,6 @@ fn sentinel_rolls_back_a_seeded_regression_within_two_windows() {
         record.stages()
     );
 
-    aim_telemetry::clear_sinks();
     aim_telemetry::disable();
 }
 
@@ -165,10 +160,6 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     aim_telemetry::enable();
     aim_telemetry::reset();
-    aim_telemetry::clear_sinks();
-    let sink = MemorySink::new();
-    let handle = sink.handle();
-    aim_telemetry::add_sink(Box::new(sink));
 
     let ids = ["alpha", "beta", "gamma"];
     let mut tenants: Vec<Tenant> = ids.iter().map(|id| Tenant::new(*id, build_db(4000))).collect();
@@ -198,7 +189,7 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
         .map(|t| t.result.as_ref().unwrap().created[0].def.name.clone())
         .collect();
 
-    let mut sentinel = LatencySentinel::new(SentinelConfig::default());
+    let mut sentinel = LatencySentinel::new();
     out.arm_sentinel(&mut sentinel);
     for id in ids {
         assert!(sentinel.is_armed_for(id), "{id} must be under armed watch");
@@ -253,9 +244,10 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
         );
     }
 
-    // The SLO alert named alpha — and nobody else — ...
-    let slo_events: Vec<_> = handle
-        .events()
+    // The SLO alert named alpha — and nobody else — (the ring evicted
+    // nothing) ...
+    assert_eq!(aim_telemetry::journal::dropped(), 0, "journal evicted events");
+    let slo_events: Vec<_> = aim_telemetry::events()
         .into_iter()
         .filter(|e| e.kind == EventKind::SloAlert)
         .collect();
@@ -269,8 +261,7 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
     );
 
     // ... the journaled rollback is alpha's, alert-attributed ...
-    let rollbacks: Vec<_> = handle
-        .events()
+    let rollbacks: Vec<_> = aim_telemetry::events()
         .into_iter()
         .filter(|e| e.kind == EventKind::RegressionRollback)
         .collect();
@@ -294,7 +285,6 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
         last.detail
     );
 
-    aim_telemetry::clear_sinks();
     aim_telemetry::disable();
 }
 
@@ -332,7 +322,7 @@ fn every_served_metric_has_curated_help() {
         .session();
     let out = fleet.run(&mut tenants);
     assert_eq!(out.tuned(), 2);
-    let mut sentinel = LatencySentinel::new(SentinelConfig::default());
+    let mut sentinel = LatencySentinel::new();
     out.arm_sentinel(&mut sentinel);
     aim_telemetry::slo::register(aim_telemetry::SloRule::new(
         "help-cov",

@@ -1,5 +1,5 @@
 //! The observability subsystem observed end to end: a deterministic tuning
-//! pass against an in-memory sink, asserting the span tree shape, the
+//! pass read back from the event journal, asserting the span tree shape, the
 //! counter taxonomy, and the stability of the event sequence across
 //! identical runs.
 
@@ -8,7 +8,7 @@ use aim_exec::Engine;
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
-use aim_telemetry::{EventKind, MemorySink, ProfileNode};
+use aim_telemetry::{EventKind, ProfileNode};
 use std::sync::Mutex;
 
 /// Telemetry state is process-global; tests in this binary take turns.
@@ -64,7 +64,7 @@ fn aim() -> TuningSession {
 }
 
 /// One full observed tuning pass; returns the profile tree and the event
-/// stream captured by a fresh memory sink.
+/// stream the pass left in the (freshly reset) journal.
 fn traced_tune() -> (ProfileNode, Vec<aim_telemetry::Event>) {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
@@ -77,10 +77,6 @@ fn traced_tune() -> (ProfileNode, Vec<aim_telemetry::Event>) {
 
     aim_telemetry::enable();
     aim_telemetry::reset();
-    aim_telemetry::clear_sinks();
-    let sink = MemorySink::new();
-    let handle = sink.handle();
-    aim_telemetry::add_sink(Box::new(sink));
 
     let outcome = aim().run(&mut db, &monitor).unwrap();
     assert!(
@@ -99,8 +95,7 @@ fn traced_tune() -> (ProfileNode, Vec<aim_telemetry::Event>) {
     );
 
     let profile = aim_telemetry::take_profile();
-    let events = handle.events();
-    aim_telemetry::clear_sinks();
+    let events = aim_telemetry::events();
     aim_telemetry::disable();
     (profile, events)
 }

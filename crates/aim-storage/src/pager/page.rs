@@ -143,10 +143,6 @@ impl Page {
         PageType::from_u8(self.data[4])
     }
 
-    pub fn set_page_type(&mut self, ty: PageType) {
-        self.data[4] = ty as u8;
-    }
-
     pub fn nslots(&self) -> usize {
         rd16(&self.data, 6) as usize
     }

@@ -53,16 +53,6 @@ impl Value {
         }
     }
 
-    /// Integer view, truncating floats.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            Value::Float(v) => Some(*v as i64),
-            Value::Bool(b) => Some(i64::from(*b)),
-            _ => None,
-        }
-    }
-
     /// Rank used to order values of different variants.
     fn type_rank(&self) -> u8 {
         match self {

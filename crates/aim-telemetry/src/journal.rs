@@ -4,8 +4,7 @@
 //! which candidates merged, which indexes were accepted, rejected, reverted
 //! or garbage-collected, and what the clone-validation verdict was — so a
 //! mis-tune can be reconstructed after the fact. The journal keeps the most
-//! recent [`capacity`](set_capacity) events; every event is also fanned out
-//! to the registered [`crate::sink::EventSink`]s as it happens.
+//! recent [`capacity`](set_capacity) events and counts the ones it evicts.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,8 +108,7 @@ fn with_journal<R>(f: impl FnOnce(&mut Journal) -> R) -> R {
 }
 
 /// Records an event (no-op while telemetry is disabled). The event enters
-/// the ring buffer — evicting the oldest entry when full — and is pushed
-/// to every registered sink.
+/// the ring buffer, evicting the oldest entry when full.
 pub fn event(kind: EventKind, target: impl Into<String>, detail: impl Into<String>) {
     if !crate::is_enabled() {
         return;
@@ -128,13 +126,12 @@ pub fn event(kind: EventKind, target: impl Into<String>, detail: impl Into<Strin
             j.dropped += 1;
             evicted += 1;
         }
-        j.ring.push_back(e.clone());
+        j.ring.push_back(e);
         evicted
     });
     if evicted > 0 {
         crate::metrics::JOURNAL_DROPPED.add(evicted);
     }
-    crate::sink::dispatch(&e);
 }
 
 /// Snapshot of the journal's current contents, oldest first.

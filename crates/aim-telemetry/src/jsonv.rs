@@ -64,13 +64,6 @@ impl Json {
             _ => None,
         }
     }
-
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 /// Parse error with byte offset.

@@ -5,7 +5,7 @@
 //! first-class instrumentation layer. It is std-only and provides three
 //! primitives, wired through every crate of the workspace:
 //!
-//! * **Spans** ([`span`]) — RAII timers forming a phase tree. Nested spans
+//! * **Spans** ([`span`](mod@span)) — RAII timers forming a phase tree. Nested spans
 //!   aggregate by name into a per-thread [`ProfileNode`] tree, the single
 //!   timing source of truth for "algorithm runtime" reporting.
 //! * **Counters / gauges / histograms** ([`metrics`]) — a fixed taxonomy of
@@ -14,8 +14,7 @@
 //!   histograms.
 //! * **Event journal** ([`journal`]) — a bounded ring buffer of structured
 //!   events (plan chosen, candidate merged, index accepted/rejected,
-//!   regression detected, validation verdict) fanned out to pluggable
-//!   [`sink::EventSink`]s: in-memory for tests, JSON-lines for `results/`.
+//!   regression detected, validation verdict), read back with [`events`].
 //!
 //! Telemetry is **off by default**. When disabled, spans skip all
 //! bookkeeping (one atomic load + one `Instant::now`), counters are no-ops,
@@ -53,7 +52,6 @@ pub mod jsonv;
 pub mod metrics;
 pub mod report;
 pub mod serve;
-pub mod sink;
 pub mod slo;
 pub mod span;
 pub mod timeseries;
@@ -63,12 +61,11 @@ pub use journal::{event, events, Event, EventKind};
 pub use metrics::{
     scope, scope_phase, snapshot, Counter, HistogramSnapshot, Snapshot, TelemetryScope,
 };
-pub use slo::{SloRule, SloStat, SloStatus};
+pub use slo::{SloRule, SloStatus};
 pub use report::{render_counters, render_profile, write_artifact};
 pub use serve::{
     clear_ledger_source, render_prometheus, set_ledger_source, IntrospectionServer,
 };
-pub use sink::{add_sink, clear_sinks, EventSink, JsonLinesSink, MemorySink};
 pub use span::{
     profile_snapshot, publish_profile, published_profile, span, take_profile, ProfileNode,
     SpanGuard,
@@ -99,7 +96,6 @@ pub fn is_enabled() -> bool {
 /// Clears all collected state: counters, gauges, histograms, labeled
 /// series, the event journal, the calling thread's span profile, the
 /// time-series ring, the trace recorder and registered SLO rules.
-/// Registered sinks are kept (use [`clear_sinks`] to drop them).
 pub fn reset() {
     metrics::reset();
     journal::reset();

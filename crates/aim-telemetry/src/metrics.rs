@@ -136,8 +136,6 @@ pub static SELECTION_BATCH_BINDING_REUSE: Counter =
 pub static SELECTION_BATCH_PLAN_REUSE: Counter = Counter::new("selection.batch.plan_reuse");
 /// Events evicted from the journal ring buffer before anyone read them.
 pub static JOURNAL_DROPPED: Counter = Counter::new("telemetry.journal_dropped");
-/// Event-sink write failures (the event is lost; each failure counts).
-pub static SINK_ERRORS: Counter = Counter::new("telemetry.sink_errors");
 /// Time-series windows closed by [`crate::timeseries::tick`].
 pub static TIMESERIES_WINDOWS: Counter = Counter::new("timeseries.windows");
 /// Worker span roots stitched into a parent profile by
@@ -180,7 +178,6 @@ static BUILTIN: &[&Counter] = &[
     &SELECTION_BATCH_BINDING_REUSE,
     &SELECTION_BATCH_PLAN_REUSE,
     &JOURNAL_DROPPED,
-    &SINK_ERRORS,
     &TIMESERIES_WINDOWS,
     &TRACE_SPANS_STITCHED,
     &FLEET_SHARDS_TUNED,
@@ -230,7 +227,6 @@ pub fn help_for(name: &str) -> &'static str {
         "selection.batch.binding_reuse" => "Batch members reusing the shared binding derivation.",
         "selection.batch.plan_reuse" => "Batch members served by an identical-projection plan.",
         "telemetry.journal_dropped" => "Events evicted from the journal ring before being read.",
-        "telemetry.sink_errors" => "Event-sink write failures (events lost).",
         "timeseries.windows" => "Time-series windows closed by timeseries ticks.",
         "trace.spans_stitched" => "Worker span roots stitched into a parent profile.",
         "fleet.shards_tuned" => "Tenant tuning passes completed inside fleet runs.",
@@ -626,13 +622,6 @@ pub fn counter_add_labeled(name: &'static str, labels: &[(&'static str, &str)], 
 pub fn gauge_set_labeled(name: &'static str, labels: &[(&'static str, &str)], v: i64) {
     if crate::is_enabled() {
         series_gauge_set(name, &intern_labels(labels), v);
-    }
-}
-
-/// Records one observation into a labeled histogram series.
-pub fn histogram_record_labeled(name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-    if crate::is_enabled() {
-        series_histogram_record(name, &intern_labels(labels), v);
     }
 }
 

@@ -1,17 +1,17 @@
 //! Declarative SLOs with multi-window burn-rate alerting.
 //!
-//! An [`SloRule`] names a windowed histogram stat (e.g. the p99 of
-//! `exec.select_cost`), a target it must stay under, and an error budget:
+//! An [`SloRule`] names a histogram (e.g. `exec.select_cost`) whose
+//! windowed p99 must stay under a target, within an error budget of 10%:
 //! the fraction of windows allowed to violate the target. [`evaluate`]
 //! sweeps the [`crate::timeseries`] ring and computes the *burn rate* —
 //! violating fraction ÷ budget — over two lookbacks, a fast one (default
 //! 5 windows) and a slow one (default 60). A rule **fires** only when both
-//! burns meet the threshold: the fast window gives quick detection, the
+//! burns reach 1.0: the fast window gives quick detection, the
 //! slow window suppresses one-off blips, the classic multi-window
 //! burn-rate construction from SRE alerting practice.
 //!
-//! Rules marked `per_tenant` evaluate every `tenant`-labeled variant of
-//! the metric separately (plus the unlabeled all-tenant series), so a
+//! Every rule evaluates each `tenant`-labeled variant of the metric
+//! separately (plus the unlabeled all-tenant series), so a
 //! single rule covers a whole fleet and a firing status names the tenant
 //! that burned its budget. Series carrying extra labels (a tuning-phase
 //! scope, say) are excluded — SLOs judge live traffic, not tuning
@@ -24,60 +24,28 @@ use std::sync::Mutex;
 
 use crate::metrics;
 use crate::report::json_escape;
-use crate::timeseries::{self, WindowHistogram};
+use crate::timeseries;
 
-/// Which windowed histogram stat an SLO tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SloStat {
-    P50,
-    P90,
-    P99,
-    Mean,
-}
-
-impl SloStat {
-    fn of(self, h: &WindowHistogram) -> f64 {
-        match self {
-            SloStat::P50 => h.p50,
-            SloStat::P90 => h.p90,
-            SloStat::P99 => h.p99,
-            SloStat::Mean => h.mean(),
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            SloStat::P50 => "p50",
-            SloStat::P90 => "p90",
-            SloStat::P99 => "p99",
-            SloStat::Mean => "mean",
-        }
-    }
-}
+/// Error budget: allowed violating fraction of windows.
+const BUDGET: f64 = 0.1;
+/// A rule fires when both burn rates reach this multiple of the budget.
+const BURN_THRESHOLD: f64 = 1.0;
 
 /// One declarative SLO rule. Construct with [`SloRule::new`] and adjust
-/// the defaults with the chainable setters.
+/// the lookbacks with [`SloRule::windows`].
 #[derive(Debug, Clone)]
 pub struct SloRule {
     /// Rule name, e.g. `select-latency`.
     pub name: String,
     /// Base histogram name the rule watches, e.g. `exec.select_cost`.
     pub metric: String,
-    /// Windowed stat compared against the target.
-    pub stat: SloStat,
-    /// The stat must stay strictly under this value.
+    /// The windowed p99 must stay strictly under this value.
     pub target: f64,
-    /// Evaluate each `tenant`-labeled series separately.
-    pub per_tenant: bool,
     /// Fast lookback (windows) for quick detection.
     pub fast_windows: usize,
     /// Slow lookback (windows) for blip suppression; clamped to the
     /// windows actually present in the ring.
     pub slow_windows: usize,
-    /// Error budget: allowed violating fraction of windows (0, 1].
-    pub budget: f64,
-    /// Fire when both burn rates reach this multiple of the budget.
-    pub burn_threshold: f64,
 }
 
 impl SloRule {
@@ -87,39 +55,16 @@ impl SloRule {
         Self {
             name: name.to_string(),
             metric: metric.to_string(),
-            stat: SloStat::P99,
             target,
-            per_tenant: true,
             fast_windows: 5,
             slow_windows: 60,
-            budget: 0.1,
-            burn_threshold: 1.0,
         }
     }
 
-    pub fn stat(mut self, stat: SloStat) -> Self {
-        self.stat = stat;
-        self
-    }
-
-    pub fn per_tenant(mut self, per_tenant: bool) -> Self {
-        self.per_tenant = per_tenant;
-        self
-    }
-
+    /// Sets the fast and slow lookbacks (in windows).
     pub fn windows(mut self, fast: usize, slow: usize) -> Self {
         self.fast_windows = fast.max(1);
         self.slow_windows = slow.max(self.fast_windows);
-        self
-    }
-
-    pub fn budget(mut self, budget: f64) -> Self {
-        self.budget = budget.clamp(1e-6, 1.0);
-        self
-    }
-
-    pub fn burn_threshold(mut self, threshold: f64) -> Self {
-        self.burn_threshold = threshold.max(0.0);
         self
     }
 }
@@ -141,7 +86,7 @@ pub struct SloStatus {
     pub fast_burn: f64,
     /// Burn rate over the slow lookback (clamped to ring length).
     pub slow_burn: f64,
-    /// Whether both burns met the rule's threshold.
+    /// Whether both burns reached the firing threshold.
     pub firing: bool,
 }
 
@@ -190,7 +135,7 @@ fn burn(
             }
         }
     }
-    (seen > 0).then(|| (violated as f64 / seen as f64) / rule.budget)
+    (seen > 0).then(|| (violated as f64 / seen as f64) / BUDGET)
 }
 
 /// Evaluates every rule against the timeseries ring, returning one status
@@ -212,8 +157,7 @@ pub fn evaluate() -> Vec<SloStatus> {
             .map(|w| {
                 w.tenant_histograms(&rule.metric)
                     .into_iter()
-                    .filter(|(t, _)| rule.per_tenant || t.is_none())
-                    .map(|(t, h)| (t, rule.stat.of(h)))
+                    .map(|(t, h)| (t, h.p99))
                     .collect()
             })
             .collect();
@@ -241,7 +185,7 @@ pub fn evaluate() -> Vec<SloStatus> {
                 target: rule.target,
                 fast_burn: fast,
                 slow_burn: slow,
-                firing: fast >= rule.burn_threshold && slow >= rule.burn_threshold,
+                firing: fast >= BURN_THRESHOLD && slow >= BURN_THRESHOLD,
             });
         }
     }
@@ -272,18 +216,16 @@ pub fn alerts_json() -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"metric\":\"{}\",\"stat\":\"{}\",\"target\":{:.3},\
-             \"per_tenant\":{},\"fast_windows\":{},\"slow_windows\":{},\
+            "{{\"name\":\"{}\",\"metric\":\"{}\",\"stat\":\"p99\",\"target\":{:.3},\
+             \"per_tenant\":true,\"fast_windows\":{},\"slow_windows\":{},\
              \"budget\":{:.4},\"burn_threshold\":{:.3}}}",
             json_escape(&r.name),
             json_escape(&r.metric),
-            r.stat.as_str(),
             r.target,
-            r.per_tenant,
             r.fast_windows,
             r.slow_windows,
-            r.budget,
-            r.burn_threshold,
+            BUDGET,
+            BURN_THRESHOLD,
         ));
     }
     out.push_str("],\"alerts\":[");
@@ -389,6 +331,11 @@ mod tests {
         let rules = doc.get("rules").unwrap().as_arr().unwrap();
         assert_eq!(rules.len(), 1);
         assert_eq!(rules[0].get("name").unwrap().as_str(), Some("lat\"q"));
+        // The rule fields every registered rule carries.
+        assert_eq!(rules[0].get("stat").unwrap().as_str(), Some("p99"));
+        assert_eq!(rules[0].get("per_tenant").unwrap().as_bool(), Some(true));
+        assert_eq!(rules[0].get("budget").unwrap().as_f64(), Some(0.1));
+        assert_eq!(rules[0].get("burn_threshold").unwrap().as_f64(), Some(1.0));
         let alerts = doc.get("alerts").unwrap().as_arr().unwrap();
         assert!(alerts
             .iter()

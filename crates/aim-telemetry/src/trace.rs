@@ -1,6 +1,6 @@
 //! Cross-thread trace context and Chrome trace-event export.
 //!
-//! Span trees are thread-local ([`crate::span`]), so a scoped worker
+//! Span trees are thread-local ([`crate::span`](mod@crate::span)), so a scoped worker
 //! thread's spans used to vanish when the thread joined: the parallel
 //! ranking and validation paths showed an empty gap where the workers'
 //! time went. This module fixes that with an explicit hand-off:
@@ -176,11 +176,6 @@ pub fn stop_recording() -> usize {
         .as_ref()
         .map(|r| r.events.len())
         .unwrap_or(0)
-}
-
-/// True while span closes are being recorded.
-pub fn is_recording() -> bool {
-    RECORDING.load(Ordering::Relaxed)
 }
 
 /// Called by the span layer on every close while recording is armed.

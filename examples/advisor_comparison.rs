@@ -1,6 +1,6 @@
 //! Head-to-head advisor comparison on the TPC-H-like workload.
 //!
-//! Runs AIM and every baseline through the common [`IndexAdvisor`] harness
+//! Runs AIM, DTA and Extend through the common [`IndexAdvisor`] harness
 //! at a fixed budget and prints estimated workload cost, runtime and
 //! optimizer (what-if) call counts — a miniature of the paper's §VI-B.
 //!
@@ -8,7 +8,7 @@
 //! cargo run -p aim-bench --example advisor_comparison --release
 //! ```
 
-use aim_baselines::{AutoAdmin, Db2Advis, DropHeuristic, Dta, Extend};
+use aim_baselines::{Dta, Extend};
 use aim_core::{config_size, defs_to_config, workload_cost, AimAdvisor, IndexAdvisor};
 use aim_exec::{CostModel, HypoConfig};
 use std::time::Instant;
@@ -57,10 +57,4 @@ fn main() {
     let mut ext = Extend::new(4);
     run("Extend", &mut ext, &|| 0);
     println!("{:>38} Extend what-if calls: {}", "", ext.last_whatif_calls);
-    let mut aa = AutoAdmin::new(4);
-    run("AutoAdmin", &mut aa, &|| 0);
-    let mut d2 = Db2Advis::new(4);
-    run("DB2Advis", &mut d2, &|| 0);
-    let mut dr = DropHeuristic::new(4);
-    run("Drop", &mut dr, &|| 0);
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Workspace CI gate: release build, full test suite, lint-clean clippy.
+# Workspace CI gate: release build, full test suite, lint-clean clippy,
+# warning-free rustdoc, then the smoke gates below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +12,11 @@ cargo test -q
 
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (warnings denied)"
+# Fails on broken or private intra-doc links, e.g. a doc comment still
+# linking an item that was deleted or made private.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== bench_whatif smoke (what-if cache regression gate)"
 # Exits non-zero if a repeated tuning pass over an unchanged database shows a
