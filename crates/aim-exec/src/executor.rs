@@ -12,22 +12,23 @@
 use crate::bind::Binder;
 use crate::cost::CostModel;
 use crate::error::ExecError;
-use crate::eval::{eval, is_true, literal_value, Env};
+use crate::eval::{is_true, literal_value, CompiledAggregate, CompiledExpr, Compiler, Tuple};
 use crate::hypothetical::HypoConfig;
-use crate::planner::{
-    AccessPath, EqSource, IndexScan, Plan, Planner, RangeInfo,
-};
+use crate::planner::{AccessPath, EqSource, IndexScan, Plan, Planner, RangeInfo};
 use crate::predicate::SargValue;
-use aim_sql::ast::{
-    AggFunc, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update,
-};
+use aim_sql::ast::{AggFunc, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update};
 use aim_storage::{Database, IoStats, Key, Row, Table, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+/// A joined tuple: one optional row per bound table instance, borrowed from
+/// storage (owned only where a covering index scan rebuilt a partial row).
+type JoinedTuple<'db> = Vec<Option<Cow<'db, Row>>>;
+
 /// One produced output row with its provenance: the projected row, the
 /// joined tuple it came from, and the aggregates computed for its group.
-type OutputRow = (Row, Vec<Option<Row>>, BTreeMap<String, Value>);
+type OutputRow<'db> = (Row, JoinedTuple<'db>, Vec<Value>);
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -69,22 +70,12 @@ impl Engine {
     }
 
     /// Executes any statement.
-    pub fn execute(
-        &self,
-        db: &mut Database,
-        stmt: &Statement,
-    ) -> Result<ExecOutcome, ExecError> {
+    pub fn execute(&self, db: &mut Database, stmt: &Statement) -> Result<ExecOutcome, ExecError> {
         let _span = aim_telemetry::span("exec.execute");
         // SELECTs consult the fault gate inside `execute_select` (their
         // only gate, so direct parallel-replay calls are also covered).
         if !matches!(stmt, Statement::Select(_)) {
-            if let Some(aim_storage::fault::FaultKind::Fail) =
-                aim_storage::fault::hit("exec.execute")
-            {
-                return Err(ExecError::FaultInjected {
-                    site: "exec.execute".to_string(),
-                });
-            }
+            execute_fault_gate()?;
         }
         let outcome = match stmt {
             Statement::Select(s) => self.execute_select(db, s),
@@ -148,39 +139,19 @@ impl Engine {
     }
 
     /// Executes a SELECT.
-    pub fn execute_select(
-        &self,
-        db: &Database,
-        select: &Select,
-    ) -> Result<ExecOutcome, ExecError> {
-        if let Some(aim_storage::fault::FaultKind::Fail) =
-            aim_storage::fault::hit("exec.execute")
-        {
-            return Err(ExecError::FaultInjected {
-                site: "exec.execute".to_string(),
-            });
-        }
+    pub fn execute_select(&self, db: &Database, select: &Select) -> Result<ExecOutcome, ExecError> {
+        execute_fault_gate()?;
         // Spanned here (not in `execute`) so parallel validation replays,
         // which call `execute_select` directly from worker threads, still
         // time their per-query work for profile stitching.
         let _span = aim_telemetry::span("exec.select");
-        let config = HypoConfig::none();
-        let planner = Planner::new(db, select, &config, &self.cost_model)?;
-        let plan = planner.plan()?;
-        if aim_telemetry::is_enabled() && !plan.steps.is_empty() {
-            aim_telemetry::event(
-                aim_telemetry::EventKind::PlanChosen,
-                plan.access_summary(),
-                format!("est cost {:.1}", plan.est_cost),
-            );
-        }
+        let (binder, plan) = self.plan_live(db, select)?;
         let mut io = IoStats::new();
         let mut extra_cost = 0.0f64;
 
         // Table-free SELECT.
         if plan.steps.is_empty() {
-            let env_rows: Vec<Option<&Row>> = Vec::new();
-            let env = Env::new(&env_rows);
+            let mut compiler = Compiler::scalar(&binder);
             let mut row = Vec::new();
             for item in &select.items {
                 match item {
@@ -188,7 +159,7 @@ impl Engine {
                         return Err(ExecError::Unsupported("SELECT * without FROM".into()))
                     }
                     SelectItem::Expr { expr, .. } => {
-                        row.push(eval(expr, &planner.binder, &env)?)
+                        row.push(compiler.compile(expr).eval(&[], &[])?.into_owned())
                     }
                 }
             }
@@ -201,107 +172,71 @@ impl Engine {
             });
         }
 
-        // Precompute, per join level, which WHERE conjuncts become fully
-        // bound at that level.
-        let conjuncts = conjuncts_by_level(select, &planner.binder, &plan)?;
-
+        let conjuncts = conjuncts_by_level(select, &binder, &plan)?;
         let limit = limit_of(select)?;
         let streaming_limit = plan.order_via_index
             && select.group_by.is_empty()
             && !select.distinct
             && limit.is_some();
+        let tuples = self.join(
+            db,
+            &binder,
+            &plan,
+            &conjuncts,
+            limit.filter(|_| streaming_limit),
+            &mut io,
+        )?;
+        let out = OutputSpec::compile(db, select, &binder)?;
 
-        let mut tuples: Vec<Vec<Option<Row>>> = Vec::new();
-        let mut streamed = false;
-        if streaming_limit {
-            if let Some(k) = limit {
-                if let Some(streamed_tuples) =
-                    self.stream_limited(db, &planner, &plan, &conjuncts, k, &mut io)?
-                {
-                    tuples = streamed_tuples;
-                    streamed = true;
-                }
-            }
-        }
-        if !streamed {
-            let mut current: Vec<Option<Row>> = vec![None; planner.binder.len()];
-            let cap = if streaming_limit { limit } else { None };
-            self.join_level(
-                db,
-                &planner,
-                &plan,
-                &conjuncts,
-                0,
-                &mut current,
-                &mut tuples,
-                cap,
-                &mut io,
-            )?;
-        }
-
-        // Grouping / aggregation.
-        let has_aggregates = select
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-            || select.having.is_some();
-        let grouped = !select.group_by.is_empty() || has_aggregates;
-
-        let mut out: Vec<OutputRow> = Vec::new();
-        if grouped {
-            let groups = self.group_rows(select, &planner.binder, &tuples)?;
+        let mut rows: Vec<OutputRow<'_>> = Vec::new();
+        if out.grouped {
             if !plan.group_via_index && !tuples.is_empty() {
                 extra_cost += self.cost_model.sort_cost(tuples.len() as f64);
             }
-            for (_, members) in groups {
-                let aggs = compute_aggregates(select, &planner.binder, &members)?;
+            for members in out.group(tuples)? {
+                let aggs = compute_aggregates(&out.aggregates, &members)?;
                 // The implicit group of an aggregate-only query may be
                 // empty (zero input rows still produce one output row, per
                 // SQL); represent it with an all-unbound tuple.
-                let rep: Vec<Option<Row>> = members
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| vec![None; planner.binder.len()]);
-                // HAVING filter.
-                if let Some(h) = &select.having {
-                    let subst = substitute_aggregates(h, &aggs);
-                    let refs: Vec<Option<&Row>> = rep.iter().map(|r| r.as_ref()).collect();
-                    let v = eval(&subst, &planner.binder, &Env::new(&refs))?;
-                    if !is_true(&v) {
+                let rep = members
+                    .into_iter()
+                    .next()
+                    .unwrap_or_else(|| vec![None; binder.len()]);
+                if let Some(h) = &out.having {
+                    if !is_true(h.eval(&rep, &aggs)?.as_ref()) {
                         continue;
                     }
                 }
-                let row = project_row(select, &planner.binder, &rep, &aggs, db)?;
-                out.push((row, rep, aggs));
+                let row = out.project(&rep, &aggs)?;
+                rows.push((row, rep, aggs));
             }
         } else {
             for tuple in tuples {
-                let row = project_row(select, &planner.binder, &tuple, &BTreeMap::new(), db)?;
-                out.push((row, tuple, BTreeMap::new()));
+                let row = out.project(&tuple, &[])?;
+                rows.push((row, tuple, Vec::new()));
             }
         }
 
         // DISTINCT.
         if select.distinct {
             let mut seen = std::collections::BTreeSet::new();
-            out.retain(|(row, _, _)| seen.insert(row.clone()));
+            rows.retain(|(row, _, _)| seen.insert(row.clone()));
         }
 
         // ORDER BY.
         if !select.order_by.is_empty() && !plan.order_via_index {
-            extra_cost += self.cost_model.sort_cost(out.len() as f64);
-            let binder = &planner.binder;
-            let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(out.len());
-            for (i, (_, tuple, aggs)) in out.iter().enumerate() {
-                let rep: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-                let env = Env::new(&rep);
-                let mut key = Vec::with_capacity(select.order_by.len());
-                for o in &select.order_by {
-                    let e = substitute_aggregates(&o.expr, aggs);
-                    key.push(eval(&e, binder, &env)?);
-                }
-                keyed.push((key, i));
+            extra_cost += self.cost_model.sort_cost(rows.len() as f64);
+            let mut keyed: Vec<(Vec<Value>, OutputRow<'_>)> = Vec::with_capacity(rows.len());
+            for r in rows {
+                let (_, tuple, aggs) = &r;
+                let key = out
+                    .order_by
+                    .iter()
+                    .map(|o| o.eval(tuple, aggs).map(Cow::into_owned))
+                    .collect::<Result<Vec<_>, _>>()?;
+                keyed.push((key, r));
             }
+            // Stable: rows with equal keys keep their production order.
             keyed.sort_by(|(a, _), (b, _)| {
                 for (i, o) in select.order_by.iter().enumerate() {
                     let ord = a[i].cmp(&b[i]);
@@ -312,19 +247,15 @@ impl Engine {
                 }
                 std::cmp::Ordering::Equal
             });
-            let mut reordered = Vec::with_capacity(out.len());
-            for (_, i) in keyed {
-                reordered.push(out[i].clone());
-            }
-            out = reordered;
+            rows = keyed.into_iter().map(|(_, r)| r).collect();
         }
 
         // LIMIT.
         if let Some(k) = limit {
-            out.truncate(k);
+            rows.truncate(k);
         }
 
-        let rows: Vec<Row> = out.into_iter().map(|(r, _, _)| r).collect();
+        let rows: Vec<Row> = rows.into_iter().map(|(r, _, _)| r).collect();
         extra_cost += rows.len() as f64 * self.cost_model.output_row_cost;
         let cost = self.cost_model.io_cost(&io) + extra_cost;
         Ok(ExecOutcome {
@@ -336,6 +267,56 @@ impl Engine {
         })
     }
 
+    /// Plans `select` against the materialized indexes and reports the
+    /// chosen plan to telemetry.
+    fn plan_live(&self, db: &Database, select: &Select) -> Result<(Binder, Plan), ExecError> {
+        let config = HypoConfig::none();
+        let planner = Planner::new(db, select, &config, &self.cost_model)?;
+        let plan = planner.plan()?;
+        if aim_telemetry::is_enabled() && !plan.steps.is_empty() {
+            aim_telemetry::event(
+                aim_telemetry::EventKind::PlanChosen,
+                plan.access_summary(),
+                format!("est cost {:.1}", plan.est_cost),
+            );
+        }
+        let Planner { binder, .. } = planner;
+        Ok((binder, plan))
+    }
+
+    /// Runs the plan's join and returns the tuples that pass every WHERE
+    /// conjunct. With `limit` set (ORDER BY ... LIMIT served from index
+    /// order) the scan stops after that many tuples.
+    fn join<'db>(
+        &self,
+        db: &'db Database,
+        binder: &Binder,
+        plan: &Plan,
+        conjuncts: &[Vec<CompiledExpr>],
+        limit: Option<usize>,
+        io: &mut IoStats,
+    ) -> Result<Vec<JoinedTuple<'db>>, ExecError> {
+        if let Some(k) = limit {
+            if let Some(tuples) = self.stream_limited(db, binder, plan, conjuncts, k, io)? {
+                return Ok(tuples);
+            }
+        }
+        let mut tuples = Vec::new();
+        let mut current: JoinedTuple<'db> = vec![None; binder.len()];
+        self.join_level(
+            db,
+            binder,
+            plan,
+            conjuncts,
+            0,
+            &mut current,
+            &mut tuples,
+            limit,
+            io,
+        )?;
+        Ok(tuples)
+    }
+
     /// Early-terminating scan for ORDER BY ... LIMIT served from index
     /// order (§IV-E of the paper): rows are read lazily in index order,
     /// filtered, and the scan stops after `limit` matches — charging I/O
@@ -344,15 +325,15 @@ impl Engine {
     /// Returns `None` when the plan shape does not qualify (multi-table,
     /// non-constant probes, OR-union), in which case the caller falls back
     /// to the eager path.
-    fn stream_limited(
+    fn stream_limited<'db>(
         &self,
-        db: &Database,
-        planner: &Planner<'_>,
+        db: &'db Database,
+        binder: &Binder,
         plan: &Plan,
-        conjuncts: &[Vec<Expr>],
+        conjuncts: &[Vec<CompiledExpr>],
         limit: usize,
         io: &mut IoStats,
-    ) -> Result<Option<Vec<Vec<Option<Row>>>>, ExecError> {
+    ) -> Result<Option<Vec<JoinedTuple<'db>>>, ExecError> {
         if plan.steps.len() != 1 {
             return Ok(None);
         }
@@ -375,22 +356,17 @@ impl Engine {
         let (lo, hi, lo_inc, hi_inc) = range;
         let bounds = bounds_from_parts(&lo, &hi, lo_inc, hi_inc);
 
-        let table = db.table(&planner.binder.tables()[step.table_idx].table)?;
-        let mut out: Vec<Vec<Option<Row>>> = Vec::new();
+        let table = db.table(&binder.tables()[step.table_idx].table)?;
+        let mut out: Vec<JoinedTuple<'db>> = Vec::new();
         let mut bytes = 0u64;
         io.charge_seek();
 
-        let mut consider = |row: Row, io: &mut IoStats| -> Result<bool, ExecError> {
+        // Keeps `row` if it passes the filters; true once `limit` are kept.
+        let mut consider = |row: Cow<'db, Row>| -> Result<bool, ExecError> {
             let tuple = vec![Some(row)];
-            let refs: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-            let env = Env::new(&refs);
-            for c in &conjuncts[0] {
-                if !is_true(&eval(c, &planner.binder, &env)?) {
-                    return Ok(false);
-                }
+            if passes(&conjuncts[0], &tuple)? {
+                out.push(tuple);
             }
-            let _ = io;
-            out.push(tuple);
             Ok(out.len() >= limit)
         };
 
@@ -399,40 +375,26 @@ impl Engine {
                 for row in table.iter_pk_range(&prefix, bounds) {
                     io.charge_rows(1);
                     bytes += row.iter().map(Value::storage_size).sum::<u64>();
-                    if consider(row.clone(), io)? {
+                    if consider(Cow::Borrowed(row))? {
                         break;
                     }
                 }
             }
             crate::planner::IndexChoice::Secondary(name) => {
-                let sec = table.index(name).ok_or_else(|| {
-                    ExecError::Storage(aim_storage::StorageError::UnknownIndex {
-                        table: table.schema().name.clone(),
-                        index: name.clone(),
-                    })
-                })?;
-                let ncols = table.schema().columns.len();
+                let sec = secondary_index(table, name)?;
                 for e in sec.iter_prefix_range(&prefix, bounds) {
                     io.charge_rows(1);
                     bytes += e.iter().map(Value::storage_size).sum::<u64>();
                     let row = if ix.covering {
-                        let mut row = vec![Value::Null; ncols];
-                        for (i, &p) in sec.key_positions().iter().enumerate() {
-                            row[p] = e[i].clone();
-                        }
-                        let off = sec.key_positions().len();
-                        for (i, &p) in sec.pk_positions().iter().enumerate() {
-                            row[p] = e[off + i].clone();
-                        }
-                        row
+                        Cow::Owned(covering_row(table, sec, e))
                     } else {
                         let pk: Key = sec.pk_of_entry(e).to_vec();
                         match table.pk_lookup(&pk, io) {
-                            Some(r) => r.clone(),
+                            Some(r) => Cow::Borrowed(r),
                             None => continue,
                         }
                     };
-                    if consider(row, io)? {
+                    if consider(row)? {
                         break;
                     }
                 }
@@ -447,217 +409,63 @@ impl Engine {
 
     /// Recursive nested-loop join over the plan steps.
     #[allow(clippy::too_many_arguments)]
-    fn join_level(
+    fn join_level<'db>(
         &self,
-        db: &Database,
-        planner: &Planner<'_>,
+        db: &'db Database,
+        binder: &Binder,
         plan: &Plan,
-        conjuncts: &[Vec<Expr>],
+        conjuncts: &[Vec<CompiledExpr>],
         level: usize,
-        current: &mut Vec<Option<Row>>,
-        out: &mut Vec<Vec<Option<Row>>>,
+        current: &mut JoinedTuple<'db>,
+        out: &mut Vec<JoinedTuple<'db>>,
         cap: Option<usize>,
         io: &mut IoStats,
     ) -> Result<(), ExecError> {
         let step = &plan.steps[level];
-        let table = db.table(&planner.binder.tables()[step.table_idx].table)?;
-        let candidates = self.fetch_rows(db, table, &step.path, current, io)?;
+        let table = db.table(&binder.tables()[step.table_idx].table)?;
+        // A full scan streams straight from storage; index paths collect
+        // their (borrowed) rows first.
+        let (mut scan, mut fetched);
+        let candidates: &mut dyn Iterator<Item = Cow<'db, Row>> = match &step.path {
+            AccessPath::FullScan => {
+                scan = table.scan_all(io).map(Cow::Borrowed);
+                &mut scan
+            }
+            AccessPath::IndexScan(ix) => {
+                fetched = fetch_index_scan(table, ix, current, io)?.into_iter();
+                &mut fetched
+            }
+            AccessPath::OrUnion(branches) => {
+                fetched = fetch_or_union(table, branches, current, io)?.into_iter();
+                &mut fetched
+            }
+        };
         for row in candidates {
             if cap.is_some_and(|k| out.len() >= k) {
                 return Ok(());
             }
             current[step.table_idx] = Some(row);
             // Apply every conjunct that became fully bound at this level.
-            let refs: Vec<Option<&Row>> = current.iter().map(|r| r.as_ref()).collect();
-            let env = Env::new(&refs);
-            let mut pass = true;
-            for c in &conjuncts[level] {
-                if !is_true(&eval(c, &planner.binder, &env)?) {
-                    pass = false;
-                    break;
+            if passes(&conjuncts[level], current)? {
+                if level + 1 == plan.steps.len() {
+                    out.push(current.clone());
+                } else {
+                    self.join_level(
+                        db,
+                        binder,
+                        plan,
+                        conjuncts,
+                        level + 1,
+                        current,
+                        out,
+                        cap,
+                        io,
+                    )?;
                 }
-            }
-            if !pass {
-                current[step.table_idx] = None;
-                continue;
-            }
-            if level + 1 == plan.steps.len() {
-                out.push(current.clone());
-            } else {
-                self.join_level(
-                    db, planner, plan, conjuncts, level + 1, current, out, cap, io,
-                )?;
             }
             current[step.table_idx] = None;
         }
         Ok(())
-    }
-
-    /// Fetches candidate rows for one access path, given the outer context.
-    fn fetch_rows(
-        &self,
-        db: &Database,
-        table: &Table,
-        path: &AccessPath,
-        outer: &[Option<Row>],
-        io: &mut IoStats,
-    ) -> Result<Vec<Row>, ExecError> {
-        match path {
-            AccessPath::FullScan => Ok(table.scan_all(io).cloned().collect()),
-            AccessPath::IndexScan(ix) => self.fetch_index_scan(db, table, ix, outer, io),
-            AccessPath::OrUnion(branches) => {
-                let mut pks: std::collections::BTreeSet<Key> = std::collections::BTreeSet::new();
-                for b in branches {
-                    for row in self.fetch_index_scan(db, table, b, outer, io)? {
-                        pks.insert(table.pk_of(&row));
-                    }
-                }
-                let mut rows = Vec::with_capacity(pks.len());
-                for pk in pks {
-                    if let Some(r) = table.pk_lookup(&pk, io) {
-                        rows.push(r.clone());
-                    }
-                }
-                Ok(rows)
-            }
-        }
-    }
-
-    fn fetch_index_scan(
-        &self,
-        db: &Database,
-        table: &Table,
-        ix: &IndexScan,
-        outer: &[Option<Row>],
-        io: &mut IoStats,
-    ) -> Result<Vec<Row>, ExecError> {
-        // Expand equality sources into concrete probe prefixes.
-        let mut prefixes: Vec<Vec<Value>> = vec![Vec::with_capacity(ix.eq.len())];
-        for src in &ix.eq {
-            match src {
-                EqSource::Const(v) => {
-                    for p in &mut prefixes {
-                        p.push(v.clone());
-                    }
-                }
-                EqSource::InList(vs) => {
-                    let mut next = Vec::with_capacity(prefixes.len() * vs.len());
-                    for p in prefixes {
-                        for v in vs {
-                            let mut q = p.clone();
-                            q.push(v.clone());
-                            next.push(q);
-                        }
-                    }
-                    prefixes = next;
-                }
-                EqSource::Outer(bc) => {
-                    let row = outer
-                        .get(bc.table_idx)
-                        .and_then(|r| r.as_ref())
-                        .ok_or_else(|| {
-                            ExecError::Eval("outer row not bound for index join".into())
-                        })?;
-                    let v = row[bc.col_idx].clone();
-                    for p in &mut prefixes {
-                        p.push(v.clone());
-                    }
-                }
-                EqSource::Unknown => {
-                    return Err(ExecError::Eval(
-                        "cannot execute plan with unknown parameters".into(),
-                    ))
-                }
-            }
-        }
-
-        let (lo, hi, lo_inc, hi_inc) = static_range(&ix.range)?;
-
-        let mut rows = Vec::new();
-        match &ix.index {
-            crate::planner::IndexChoice::Primary => {
-                for prefix in &prefixes {
-                    // Full-PK point lookup fast path.
-                    if prefix.len() == table.schema().primary_key.len() && lo.is_none() && hi.is_none()
-                    {
-                        if let Some(r) = table.pk_lookup(prefix, io) {
-                            rows.push(r.clone());
-                        }
-                    } else {
-                        for r in table.pk_range(prefix, bounds_from_parts(&lo, &hi, lo_inc, hi_inc), io) {
-                            rows.push(r.clone());
-                        }
-                    }
-                }
-            }
-            crate::planner::IndexChoice::Secondary(name) => {
-                let sec = table.index(name).ok_or_else(|| {
-                    ExecError::Storage(aim_storage::StorageError::UnknownIndex {
-                        table: table.schema().name.clone(),
-                        index: name.clone(),
-                    })
-                })?;
-                let ncols = table.schema().columns.len();
-                for prefix in &prefixes {
-                    let entries = sec.scan_prefix_range(prefix, bounds_from_parts(&lo, &hi, lo_inc, hi_inc), io);
-                    if ix.covering {
-                        // Reconstruct partial rows from the entries: every
-                        // referenced column is present by the covering check.
-                        for e in entries {
-                            let mut row = vec![Value::Null; ncols];
-                            for (i, &p) in sec.key_positions().iter().enumerate() {
-                                row[p] = e[i].clone();
-                            }
-                            let off = sec.key_positions().len();
-                            for (i, &p) in sec.pk_positions().iter().enumerate() {
-                                row[p] = e[off + i].clone();
-                            }
-                            rows.push(row);
-                        }
-                    } else {
-                        for e in entries {
-                            let pk: Key = sec.pk_of_entry(e).to_vec();
-                            if let Some(r) = table.pk_lookup(&pk, io) {
-                                rows.push(r.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            crate::planner::IndexChoice::Hypothetical(_) => {
-                return Err(ExecError::Eval(
-                    "hypothetical index in an executable plan".into(),
-                ))
-            }
-        }
-        let _ = db;
-        Ok(rows)
-    }
-
-    /// Groups joined tuples by the GROUP BY key (single group when absent).
-    #[allow(clippy::type_complexity)]
-    fn group_rows(
-        &self,
-        select: &Select,
-        binder: &Binder,
-        tuples: &[Vec<Option<Row>>],
-    ) -> Result<Vec<(Vec<Value>, Vec<Vec<Option<Row>>>)>, ExecError> {
-        let mut groups: BTreeMap<Vec<Value>, Vec<Vec<Option<Row>>>> = BTreeMap::new();
-        if select.group_by.is_empty() {
-            // Single implicit group (aggregate query without GROUP BY):
-            // produced even over zero input rows, per SQL semantics.
-            return Ok(vec![(Vec::new(), tuples.to_vec())]);
-        }
-        for tuple in tuples {
-            let refs: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-            let env = Env::new(&refs);
-            let mut key = Vec::with_capacity(select.group_by.len());
-            for g in &select.group_by {
-                key.push(eval(g, binder, &env)?);
-            }
-            groups.entry(key).or_default().push(tuple.clone());
-        }
-        Ok(groups.into_iter().collect())
     }
 
     // -------------------------------------------------------------- DML
@@ -684,9 +492,9 @@ impl Engine {
                     return Err(ExecError::Eval("INSERT arity mismatch".into()));
                 }
                 for (col, e) in ins.columns.iter().zip(value_row) {
-                    let pos = schema.column_index(col).ok_or_else(|| {
-                        ExecError::Binding(format!("unknown column {col}"))
-                    })?;
+                    let pos = schema
+                        .column_index(col)
+                        .ok_or_else(|| ExecError::Binding(format!("unknown column {col}")))?;
                     row[pos] = const_eval(e)?;
                 }
             }
@@ -704,32 +512,32 @@ impl Engine {
     }
 
     fn execute_update(&self, db: &mut Database, upd: &Update) -> Result<ExecOutcome, ExecError> {
-        let (pks, mut io, plan) =
-            self.locate_rows(db, &upd.table, upd.where_clause.as_ref())?;
-        let schema = db.table(&upd.table)?.schema().clone();
+        let (pks, mut io, plan) = self.locate_rows(db, &upd.table, upd.where_clause.as_ref())?;
+        // Binder over the single target table to evaluate RHS expressions
+        // like `b + 1`.
+        let binder = Binder::for_tables(db, &[aim_sql::ast::TableRef::new(&upd.table)])?;
+        let schema = db.table(&upd.table)?.schema();
         let mut assignments = Vec::with_capacity(upd.assignments.len());
         for (col, e) in &upd.assignments {
             let pos = schema
                 .column_index(col)
                 .ok_or_else(|| ExecError::Binding(format!("unknown column {col}")))?;
-            assignments.push((pos, e.clone()));
+            assignments.push((pos, CompiledExpr::compile(e, &binder)));
         }
-        // Binder over the single target table to evaluate RHS expressions
-        // like `b + 1`.
-        let binder = Binder::for_tables(db, &[aim_sql::ast::TableRef::new(&upd.table)])?;
         let mut affected = 0u64;
         for pk in pks {
-            let Some(old) = db.table(&upd.table)?.pk_lookup(&pk, &mut io).cloned() else {
-                continue;
-            };
-            let mut new_row = old.clone();
-            {
-                let refs = [Some(&old)];
-                let env = Env::new(&refs);
+            let new_row = {
+                let Some(old) = db.table(&upd.table)?.pk_lookup(&pk, &mut io) else {
+                    continue;
+                };
+                // Every right-hand side sees the old row.
+                let tuple = [Some(Cow::Borrowed(old))];
+                let mut new_row = old.clone();
                 for (pos, e) in &assignments {
-                    new_row[*pos] = eval(e, &binder, &env)?;
+                    new_row[*pos] = e.eval(&tuple, &[])?.into_owned();
                 }
-            }
+                new_row
+            };
             db.table_mut(&upd.table)?.update(&pk, new_row, &mut io)?;
             affected += 1;
         }
@@ -744,8 +552,7 @@ impl Engine {
     }
 
     fn execute_delete(&self, db: &mut Database, del: &Delete) -> Result<ExecOutcome, ExecError> {
-        let (pks, mut io, plan) =
-            self.locate_rows(db, &del.table, del.where_clause.as_ref())?;
+        let (pks, mut io, plan) = self.locate_rows(db, &del.table, del.where_clause.as_ref())?;
         let mut affected = 0u64;
         for pk in pks {
             if db.table_mut(&del.table)?.delete(&pk, &mut io)?.is_some() {
@@ -762,8 +569,9 @@ impl Engine {
         })
     }
 
-    /// Runs the WHERE clause of a DML statement as a SELECT and returns the
-    /// primary keys of matching rows.
+    /// Runs the WHERE clause of a DML statement as a `SELECT *` join and
+    /// returns the primary keys of matching rows, taken straight from the
+    /// joined tuples.
     fn locate_rows(
         &self,
         db: &Database,
@@ -780,11 +588,188 @@ impl Engine {
             order_by: Vec::new(),
             limit: None,
         };
-        let outcome = self.execute_select(db, &select)?;
+        execute_fault_gate()?;
+        let _span = aim_telemetry::span("exec.select");
+        let (binder, plan) = self.plan_live(db, &select)?;
+        let conjuncts = conjuncts_by_level(&select, &binder, &plan)?;
+        let mut io = IoStats::new();
+        let tuples = self.join(db, &binder, &plan, &conjuncts, None, &mut io)?;
         let t = db.table(table)?;
-        let pks = outcome.rows.iter().map(|r| t.pk_of(r)).collect();
-        Ok((pks, outcome.io, outcome.plan))
+        let pks = tuples
+            .iter()
+            .filter_map(|tuple| tuple[0].as_deref().map(|row| t.pk_of(row)))
+            .collect();
+        Ok((pks, io, plan))
     }
+}
+
+/// The `exec.execute` fault-injection gate (chaos testing).
+fn execute_fault_gate() -> Result<(), ExecError> {
+    match aim_storage::fault::hit("exec.execute") {
+        Some(aim_storage::fault::FaultKind::Fail) => Err(ExecError::FaultInjected {
+            site: "exec.execute".to_string(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// True if every conjunct accepts the tuple (NULL rejects).
+fn passes(conjuncts: &[CompiledExpr], tuple: &Tuple<'_>) -> Result<bool, ExecError> {
+    for c in conjuncts {
+        if !is_true(c.eval(tuple, &[])?.as_ref()) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Index-merge union: the rows any branch matches, each once, in primary
+/// key order.
+fn fetch_or_union<'db>(
+    table: &'db Table,
+    branches: &[IndexScan],
+    outer: &Tuple<'_>,
+    io: &mut IoStats,
+) -> Result<Vec<Cow<'db, Row>>, ExecError> {
+    let mut pks: std::collections::BTreeSet<Key> = std::collections::BTreeSet::new();
+    for b in branches {
+        for row in fetch_index_scan(table, b, outer, io)? {
+            pks.insert(table.pk_of(&row));
+        }
+    }
+    let mut rows = Vec::with_capacity(pks.len());
+    for pk in pks {
+        if let Some(r) = table.pk_lookup(&pk, io) {
+            rows.push(Cow::Borrowed(r));
+        }
+    }
+    Ok(rows)
+}
+
+fn fetch_index_scan<'db>(
+    table: &'db Table,
+    ix: &IndexScan,
+    outer: &Tuple<'_>,
+    io: &mut IoStats,
+) -> Result<Vec<Cow<'db, Row>>, ExecError> {
+    // Expand equality sources into concrete probe prefixes.
+    let mut prefixes: Vec<Vec<Value>> = vec![Vec::with_capacity(ix.eq.len())];
+    for src in &ix.eq {
+        match src {
+            EqSource::Const(v) => {
+                for p in &mut prefixes {
+                    p.push(v.clone());
+                }
+            }
+            EqSource::InList(vs) => {
+                let mut next = Vec::with_capacity(prefixes.len() * vs.len());
+                for p in prefixes {
+                    for v in vs {
+                        let mut q = p.clone();
+                        q.push(v.clone());
+                        next.push(q);
+                    }
+                }
+                prefixes = next;
+            }
+            EqSource::Outer(bc) => {
+                let row = outer
+                    .get(bc.table_idx)
+                    .and_then(|r| r.as_deref())
+                    .ok_or_else(|| ExecError::Eval("outer row not bound for index join".into()))?;
+                let v = &row[bc.col_idx];
+                for p in &mut prefixes {
+                    p.push(v.clone());
+                }
+            }
+            EqSource::Unknown => {
+                return Err(ExecError::Eval(
+                    "cannot execute plan with unknown parameters".into(),
+                ))
+            }
+        }
+    }
+
+    let (lo, hi, lo_inc, hi_inc) = static_range(&ix.range)?;
+
+    let mut rows = Vec::new();
+    match &ix.index {
+        crate::planner::IndexChoice::Primary => {
+            for prefix in &prefixes {
+                // Full-PK point lookup fast path.
+                if prefix.len() == table.schema().primary_key.len() && lo.is_none() && hi.is_none()
+                {
+                    if let Some(r) = table.pk_lookup(prefix, io) {
+                        rows.push(Cow::Borrowed(r));
+                    }
+                } else {
+                    let bounds = bounds_from_parts(&lo, &hi, lo_inc, hi_inc);
+                    rows.extend(
+                        table
+                            .pk_range(prefix, bounds, io)
+                            .into_iter()
+                            .map(Cow::Borrowed),
+                    );
+                }
+            }
+        }
+        crate::planner::IndexChoice::Secondary(name) => {
+            let sec = secondary_index(table, name)?;
+            for prefix in &prefixes {
+                let entries =
+                    sec.scan_prefix_range(prefix, bounds_from_parts(&lo, &hi, lo_inc, hi_inc), io);
+                if ix.covering {
+                    // Rebuild partial rows from the entries: every
+                    // referenced column is present by the covering check.
+                    rows.extend(
+                        entries
+                            .into_iter()
+                            .map(|e| Cow::Owned(covering_row(table, sec, e))),
+                    );
+                } else {
+                    for e in entries {
+                        let pk: Key = sec.pk_of_entry(e).to_vec();
+                        if let Some(r) = table.pk_lookup(&pk, io) {
+                            rows.push(Cow::Borrowed(r));
+                        }
+                    }
+                }
+            }
+        }
+        crate::planner::IndexChoice::Hypothetical(_) => {
+            return Err(ExecError::Eval(
+                "hypothetical index in an executable plan".into(),
+            ))
+        }
+    }
+    Ok(rows)
+}
+
+/// Looks up a materialized secondary index by name.
+fn secondary_index<'t>(
+    table: &'t Table,
+    name: &str,
+) -> Result<&'t aim_storage::SecondaryIndex, ExecError> {
+    table.index(name).ok_or_else(|| {
+        ExecError::Storage(aim_storage::StorageError::UnknownIndex {
+            table: table.schema().name.clone(),
+            index: name.to_string(),
+        })
+    })
+}
+
+/// Rebuilds the partial row a covering index entry holds: key and primary
+/// key columns in place, every other column NULL.
+fn covering_row(table: &Table, sec: &aim_storage::SecondaryIndex, entry: &Key) -> Row {
+    let mut row = vec![Value::Null; table.schema().columns.len()];
+    for (i, &p) in sec.key_positions().iter().enumerate() {
+        row[p] = entry[i].clone();
+    }
+    let off = sec.key_positions().len();
+    for (i, &p) in sec.pk_positions().iter().enumerate() {
+        row[p] = entry[off + i].clone();
+    }
+    row
 }
 
 /// Evaluates a constant expression (no column references).
@@ -812,20 +797,20 @@ fn limit_of(select: &Select) -> Result<Option<usize>, ExecError> {
     }
 }
 
-/// Assigns each WHERE conjunct to the first join level at which all of its
-/// referenced tables are bound.
+/// Compiles each WHERE conjunct and assigns it to the first join level at
+/// which all of its referenced tables are bound.
 fn conjuncts_by_level(
     select: &Select,
     binder: &Binder,
     plan: &Plan,
-) -> Result<Vec<Vec<Expr>>, ExecError> {
-    let mut by_level: Vec<Vec<Expr>> = vec![Vec::new(); plan.steps.len()];
+) -> Result<Vec<Vec<CompiledExpr>>, ExecError> {
+    let mut by_level: Vec<Vec<CompiledExpr>> = vec![Vec::new(); plan.steps.len()];
     let Some(w) = &select.where_clause else {
         return Ok(by_level);
     };
-    let conjuncts: Vec<Expr> = match w {
-        Expr::And(children) => children.clone(),
-        other => vec![other.clone()],
+    let conjuncts: &[Expr] = match w {
+        Expr::And(children) => children,
+        other => std::slice::from_ref(other),
     };
     // bound_at[t] = join level at which table instance t becomes bound.
     let mut bound_at = vec![usize::MAX; binder.len()];
@@ -845,80 +830,161 @@ fn conjuncts_by_level(
                 "predicate references unplanned table".into(),
             ));
         }
-        by_level[level].push(c);
+        by_level[level].push(CompiledExpr::compile(c, binder));
     }
     Ok(by_level)
 }
 
-/// Computes all aggregate expressions appearing in the SELECT items, HAVING
-/// and ORDER BY for one group, keyed by their display text.
-fn compute_aggregates(
-    select: &Select,
-    binder: &Binder,
-    members: &[Vec<Option<Row>>],
-) -> Result<BTreeMap<String, Value>, ExecError> {
-    let mut agg_exprs: Vec<Expr> = Vec::new();
-    let mut collect = |e: &Expr| collect_aggregates(e, &mut agg_exprs);
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect(expr);
-        }
-    }
-    if let Some(h) = &select.having {
-        collect(h);
-    }
-    for o in &select.order_by {
-        collect(&o.expr);
+/// The output side of a SELECT — grouping keys, aggregates, projection,
+/// HAVING and ORDER BY — compiled once per statement. In a grouped query
+/// every aggregate call is a slot into the group's aggregate results.
+struct OutputSpec {
+    grouped: bool,
+    group_by: Vec<CompiledExpr>,
+    aggregates: Vec<CompiledAggregate>,
+    /// Projection items; `None` is `*`.
+    items: Vec<Option<CompiledExpr>>,
+    /// Column count per bound table, for `*` over an unbound instance.
+    widths: Vec<usize>,
+    having: Option<CompiledExpr>,
+    order_by: Vec<CompiledExpr>,
+}
+
+impl OutputSpec {
+    fn compile(db: &Database, select: &Select, binder: &Binder) -> Result<Self, ExecError> {
+        let has_aggregates = select
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
+            || select.having.is_some();
+        let grouped = !select.group_by.is_empty() || has_aggregates;
+        let mut scalar = Compiler::scalar(binder);
+        let group_by = select.group_by.iter().map(|g| scalar.compile(g)).collect();
+        let mut compiler = if grouped {
+            Compiler::grouped(binder)
+        } else {
+            Compiler::scalar(binder)
+        };
+        let items = select
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Wildcard => None,
+                SelectItem::Expr { expr, .. } => Some(compiler.compile(expr)),
+            })
+            .collect();
+        let having = select.having.as_ref().map(|h| compiler.compile(h));
+        let order_by = select
+            .order_by
+            .iter()
+            .map(|o| compiler.compile(&o.expr))
+            .collect();
+        let widths = (0..binder.len())
+            .map(|t| Ok(binder.schema(db, t)?.columns.len()))
+            .collect::<Result<_, ExecError>>()?;
+        Ok(Self {
+            grouped,
+            group_by,
+            aggregates: compiler.aggregates(),
+            items,
+            widths,
+            having,
+            order_by,
+        })
     }
 
-    let mut out = BTreeMap::new();
-    for agg in agg_exprs {
-        let Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } = &agg
-        else {
-            continue;
-        };
-        let mut values: Vec<Value> = Vec::new();
+    /// Splits joined tuples into groups, in GROUP BY key order (one group,
+    /// possibly empty, when there is no GROUP BY).
+    fn group<'db>(
+        &self,
+        tuples: Vec<JoinedTuple<'db>>,
+    ) -> Result<Vec<Vec<JoinedTuple<'db>>>, ExecError> {
+        if self.group_by.is_empty() {
+            // Single implicit group (aggregate query without GROUP BY):
+            // produced even over zero input rows, per SQL semantics.
+            return Ok(vec![tuples]);
+        }
+        let mut groups: BTreeMap<Vec<Value>, Vec<JoinedTuple<'db>>> = BTreeMap::new();
+        for tuple in tuples {
+            let key = self
+                .group_by
+                .iter()
+                .map(|g| g.eval(&tuple, &[]).map(Cow::into_owned))
+                .collect::<Result<Vec<_>, _>>()?;
+            groups.entry(key).or_default().push(tuple);
+        }
+        Ok(groups.into_values().collect())
+    }
+
+    /// Projects one output row.
+    fn project(&self, tuple: &Tuple<'_>, aggs: &[Value]) -> Result<Row, ExecError> {
+        let mut out = Vec::new();
+        for item in &self.items {
+            match item {
+                None => {
+                    for (row, &width) in tuple.iter().zip(&self.widths) {
+                        match row {
+                            Some(row) => out.extend(row.iter().cloned()),
+                            None => out.extend(std::iter::repeat_n(Value::Null, width)),
+                        }
+                    }
+                }
+                Some(e) => out.push(e.eval(tuple, aggs)?.into_owned()),
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Computes one group's aggregate results, one per slot.
+fn compute_aggregates(
+    aggregates: &[CompiledAggregate],
+    members: &[JoinedTuple<'_>],
+) -> Result<Vec<Value>, ExecError> {
+    let mut out = Vec::with_capacity(aggregates.len());
+    for agg in aggregates {
+        let mut values: Vec<Cow<'_, Value>> = Vec::new();
         for tuple in members {
-            let refs: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-            let env = Env::new(&refs);
-            match arg {
-                None => values.push(Value::Int(1)), // COUNT(*)
+            match &agg.arg {
+                None => values.push(Cow::Owned(Value::Int(1))), // COUNT(*)
                 Some(a) => {
-                    let v = eval(a, binder, &env)?;
+                    let v = a.eval(tuple, &[])?;
                     if !v.is_null() {
                         values.push(v);
                     }
                 }
             }
         }
-        if *distinct {
+        if agg.distinct {
             let mut seen = std::collections::BTreeSet::new();
             values.retain(|v| seen.insert(v.clone()));
         }
-        let result = match func {
+        let result = match agg.func {
             AggFunc::Count => Value::Int(values.len() as i64),
             AggFunc::Sum => fold_numeric(&values, |a, b| a + b),
             AggFunc::Avg => match fold_numeric(&values, |a, b| a + b) {
                 Value::Null => Value::Null,
                 v => Value::Float(v.as_f64().unwrap_or(0.0) / values.len() as f64),
             },
-            AggFunc::Min => values.iter().min().cloned().unwrap_or(Value::Null),
-            AggFunc::Max => values.iter().max().cloned().unwrap_or(Value::Null),
+            AggFunc::Min => values
+                .iter()
+                .min()
+                .map_or(Value::Null, |v| v.as_ref().clone()),
+            AggFunc::Max => values
+                .iter()
+                .max()
+                .map_or(Value::Null, |v| v.as_ref().clone()),
         };
-        out.insert(agg.to_string(), result);
+        out.push(result);
     }
     Ok(out)
 }
 
-fn fold_numeric(values: &[Value], f: impl Fn(f64, f64) -> f64) -> Value {
+fn fold_numeric(values: &[Cow<'_, Value>], f: impl Fn(f64, f64) -> f64) -> Value {
     if values.is_empty() {
         return Value::Null;
     }
-    let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
+    let all_int = values.iter().all(|v| matches!(v.as_ref(), Value::Int(_)));
     let mut acc = 0.0f64;
     for v in values {
         acc = f(acc, v.as_f64().unwrap_or(0.0));
@@ -928,101 +994,6 @@ fn fold_numeric(values: &[Value], f: impl Fn(f64, f64) -> f64) -> Value {
     } else {
         Value::Float(acc)
     }
-}
-
-fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Aggregate { .. } => {
-            if !out.contains(e) {
-                out.push(e.clone());
-            }
-        }
-        Expr::And(cs) | Expr::Or(cs) => cs.iter().for_each(|c| collect_aggregates(c, out)),
-        Expr::Not(i) | Expr::Neg(i) => collect_aggregates(i, out),
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            list.iter().for_each(|c| collect_aggregates(c, out));
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(pattern, out);
-        }
-        Expr::Column(_) | Expr::Literal(_) => {}
-    }
-}
-
-/// Replaces aggregate sub-expressions with their computed values.
-fn substitute_aggregates(e: &Expr, computed: &BTreeMap<String, Value>) -> Expr {
-    if let Expr::Aggregate { .. } = e {
-        if let Some(v) = computed.get(&e.to_string()) {
-            return Expr::Literal(value_to_literal(v));
-        }
-    }
-    match e {
-        Expr::And(cs) => Expr::And(cs.iter().map(|c| substitute_aggregates(c, computed)).collect()),
-        Expr::Or(cs) => Expr::Or(cs.iter().map(|c| substitute_aggregates(c, computed)).collect()),
-        Expr::Not(i) => Expr::Not(Box::new(substitute_aggregates(i, computed))),
-        Expr::Neg(i) => Expr::Neg(Box::new(substitute_aggregates(i, computed))),
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(substitute_aggregates(left, computed)),
-            op: *op,
-            right: Box::new(substitute_aggregates(right, computed)),
-        },
-        other => other.clone(),
-    }
-}
-
-fn value_to_literal(v: &Value) -> Literal {
-    match v {
-        Value::Null | Value::MaxKey => Literal::Null,
-        Value::Bool(b) => Literal::Bool(*b),
-        Value::Int(i) => Literal::Int(*i),
-        Value::Float(f) => Literal::Float(*f),
-        Value::Str(s) => Literal::Str(s.clone()),
-    }
-}
-
-/// Projects one output row.
-fn project_row(
-    select: &Select,
-    binder: &Binder,
-    tuple: &[Option<Row>],
-    aggs: &BTreeMap<String, Value>,
-    db: &Database,
-) -> Result<Row, ExecError> {
-    let refs: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-    let env = Env::new(&refs);
-    let mut out = Vec::new();
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => {
-                for (t, bound) in binder.tables().iter().enumerate() {
-                    let ncols = db.table(&bound.table)?.schema().columns.len();
-                    match &tuple[t] {
-                        Some(row) => out.extend(row.iter().cloned()),
-                        None => out.extend(std::iter::repeat_n(Value::Null, ncols)),
-                    }
-                }
-            }
-            SelectItem::Expr { expr, .. } => {
-                let e = substitute_aggregates(expr, aggs);
-                out.push(eval(&e, binder, &env)?);
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// `(lo, hi, lo_inclusive, hi_inclusive)` with `None` meaning unbounded.

@@ -8,7 +8,8 @@
 //!   index-only scans, OR index-merge unions) and join orders,
 //! * an [`executor`] that runs those plans with physical I/O accounting —
 //!   the source of the rows-read / rows-sent / CPU statistics the workload
-//!   monitor aggregates,
+//!   monitor aggregates — over rows borrowed from storage, evaluating
+//!   expressions compiled once per statement ([`eval`]),
 //! * [`hypothetical`] ("dataless", §III-A4) indexes and a what-if costing
 //!   API ([`planner::estimate_statement_cost`]) used by AIM and by every
 //!   baseline advisor, and
@@ -45,6 +46,8 @@ pub mod bind;
 pub mod cost;
 pub mod error;
 pub mod eval;
+#[cfg(test)]
+mod eval_oracle;
 pub mod executor;
 pub mod explain;
 pub mod hypothetical;

@@ -302,6 +302,35 @@ fn having_filters_groups() {
 }
 
 #[test]
+fn having_with_aggregate_inside_between_and_in() {
+    // Aggregate calls nested under BETWEEN / IN / IS NULL resolve to the
+    // group's aggregate values like those under comparisons do.
+    let mut db = orders_db(300);
+    let plain = run(
+        &mut db,
+        "SELECT customer_id, COUNT(*) FROM orders GROUP BY customer_id \
+         HAVING COUNT(*) >= 6 AND COUNT(*) <= 8",
+    );
+    let between = run(
+        &mut db,
+        "SELECT customer_id, COUNT(*) FROM orders GROUP BY customer_id \
+         HAVING COUNT(*) BETWEEN 6 AND 8",
+    );
+    assert!(!plain.rows.is_empty());
+    assert_eq!(between.rows, plain.rows);
+    let listed = run(
+        &mut db,
+        "SELECT customer_id, COUNT(*) IN (6, 7, 8), SUM(amount) IS NULL FROM orders \
+         GROUP BY customer_id HAVING COUNT(*) IN (6, 7, 8)",
+    );
+    assert_eq!(listed.rows.len(), plain.rows.len());
+    for row in &listed.rows {
+        assert_eq!(row[1], Value::Bool(true));
+        assert_eq!(row[2], Value::Bool(false));
+    }
+}
+
+#[test]
 fn order_by_desc_and_limit() {
     let mut db = orders_db(100);
     let out = run(&mut db, "SELECT id FROM orders ORDER BY id DESC LIMIT 5");

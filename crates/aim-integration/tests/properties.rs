@@ -143,8 +143,10 @@ fn fingerprint_invariant_under_literals() {
     .fingerprint;
     assert_eq!(prepared, f2, "placeholders changed the fingerprint");
     for _ in 0..200 {
-        let a = rng.gen_range(0..1000i64);
-        let b = rng.gen_range(0..1000i64);
+        // Negative literals parse as `Neg(literal)`; they must collapse to
+        // the same placeholder as non-negative ones.
+        let a = rng.gen_range(-1000..1000i64);
+        let b = rng.gen_range(-1000..1000i64);
         let s = random_ident(&mut rng);
         let q1 = format!("SELECT id FROM t WHERE x = {a} AND y > {b} AND z = '{s}'");
         let f1 = normalize_statement(&parse_statement(&q1).expect("valid")).fingerprint;

@@ -103,7 +103,12 @@ fn normalize_expr(e: &Expr) -> Expr {
         Expr::And(children) => Expr::And(children.iter().map(normalize_expr).collect()),
         Expr::Or(children) => Expr::Or(children.iter().map(normalize_expr).collect()),
         Expr::Not(inner) => Expr::Not(Box::new(normalize_expr(inner))),
-        Expr::Neg(inner) => Expr::Neg(Box::new(normalize_expr(inner))),
+        // A negated literal is one literal (`-5` parses as `Neg(5)`), so it
+        // becomes one placeholder like `5` does.
+        Expr::Neg(inner) => match normalize_expr(inner) {
+            param @ Expr::Literal(Literal::Param) => param,
+            other => Expr::Neg(Box::new(other)),
+        },
         Expr::Binary { left, op, right } => Expr::Binary {
             left: Box::new(normalize_expr(left)),
             op: *op,
@@ -179,6 +184,22 @@ mod tests {
     fn literals_become_params() {
         let n = norm("SELECT id, name FROM students WHERE score > 90");
         assert_eq!(n.text, "SELECT id, name FROM students WHERE score > ?");
+    }
+
+    #[test]
+    fn negative_literals_become_params() {
+        let neg = norm("SELECT x FROM t WHERE a = -5 AND b BETWEEN -2.5 AND -(-3)");
+        let pos = norm("SELECT x FROM t WHERE a = 5 AND b BETWEEN 2.5 AND ?");
+        assert_eq!(
+            neg.text,
+            "SELECT x FROM t WHERE a = ? AND b BETWEEN ? AND ?"
+        );
+        assert_eq!(neg.fingerprint, pos.fingerprint);
+        // A negated column keeps its shape.
+        assert_eq!(
+            norm("SELECT x FROM t WHERE -a = 1").text,
+            "SELECT x FROM t WHERE -(a) = ?"
+        );
     }
 
     #[test]

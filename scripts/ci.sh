@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Workspace CI gate: release build, full test suite, lint-clean clippy,
-# warning-free rustdoc, then the smoke gates below.
+# warning-free rustdoc, then the smoke gates below (the last builds and runs
+# the perfbench benchmark's correctness checks).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,5 +67,13 @@ echo "== fleet smoke (fleet-scale budget-allocation gate)"
 # uniform share, and the emitted artifact must be well-formed JSON
 # (validated in-process via aim_telemetry::jsonv).
 ./target/release/bench_fleet smoke
+
+echo "== perfbench correctness smoke (benchmark correctness gate)"
+# Builds perfbench from this checkout and runs two short workloads. Each exits
+# non-zero when a correctness check fails: rows identical before and after
+# tuning, work counts that repeat run to run, the same layer sequence and
+# indexes, consistency after DML, and crash recovery on the disk backend.
+python3 perfbench/run.py --workload tpch_tune --seed 1 --seconds 3 --trace 1
+python3 perfbench/run.py --workload prod_d_writes --seed 1 --seconds 3 --trace 0
 
 echo "== ci: all checks passed"
